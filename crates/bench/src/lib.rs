@@ -111,16 +111,35 @@ pub mod micro {
 
     /// Time `f`, printing mean ns/iteration: warm up briefly, then run
     /// for ~300 ms of wall clock.
+    ///
+    /// The clock is read once per batch, never per call: the batch size
+    /// doubles until one batch takes at least a millisecond, so the two
+    /// clock reads around it are a negligible share even when `f` itself
+    /// costs only a few nanoseconds.
     pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
         for _ in 0..3 {
             black_box(f());
+        }
+        let mut run_batch = |n: u64| {
+            for _ in 0..n {
+                black_box(f());
+            }
+        };
+        let mut batch: u64 = 1;
+        loop {
+            let t = Instant::now();
+            run_batch(batch);
+            if t.elapsed() >= Duration::from_millis(1) {
+                break;
+            }
+            batch *= 2;
         }
         let target = Duration::from_millis(300);
         let start = Instant::now();
         let mut iters: u64 = 0;
         while start.elapsed() < target {
-            black_box(f());
-            iters += 1;
+            run_batch(batch);
+            iters += batch;
         }
         let per = start.elapsed().as_nanos() as f64 / iters as f64;
         println!("{name:<40} {per:>12.1} ns/iter  ({iters} iters)");

@@ -2,7 +2,7 @@
 
 use nicsim_fault::FaultPlan;
 use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES, MAX_MACS};
-use nicsim_mem::{FrameMemoryConfig, ICacheConfig};
+use nicsim_mem::{Crossbar, FrameMemoryConfig, ICacheConfig};
 
 /// How many of each frame-side unit the SoC instantiates.
 ///
@@ -20,6 +20,15 @@ pub struct Topology {
     /// Ethernet MACs, 1..=2. MAC 0 carries traffic; extras are
     /// structural (attached and clocked, but quiescent).
     pub macs: usize,
+}
+
+impl Topology {
+    /// Crossbar requester ports for `cores` cores on this topology: one
+    /// per core, per DMA read and write engine, and per MAC TX and RX
+    /// unit.
+    pub fn xbar_ports(&self, cores: usize) -> usize {
+        cores + 2 * self.dma_engines + 2 * self.macs
+    }
 }
 
 impl Default for Topology {
@@ -142,6 +151,13 @@ pub enum ConfigError {
         /// The rejected MAC count.
         macs: usize,
     },
+    /// Cores plus frame-side assists need more crossbar ports than
+    /// [`Crossbar::MAX_PORTS`] (one bit each in the arbiters' request
+    /// masks).
+    TooManyPorts {
+        /// Crossbar ports the configuration needs.
+        ports: usize,
+    },
     /// The scratchpad memory map for this topology (command rings and
     /// registers for every DMA engine and MAC) does not fit in
     /// `scratchpad_bytes`.
@@ -183,6 +199,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadMacs { macs } => {
                 write!(f, "macs must be in 1..={MAX_MACS} (got {macs})")
             }
+            ConfigError::TooManyPorts { ports } => write!(
+                f,
+                "cores plus assists need {ports} crossbar ports; at most {} are supported",
+                Crossbar::MAX_PORTS
+            ),
             ConfigError::TopologyTooLarge { needed, available } => write!(
                 f,
                 "topology needs a {needed}-byte scratchpad map but only \
@@ -380,6 +401,10 @@ impl NicConfig {
         if t.macs == 0 || t.macs > MAX_MACS {
             return Err(ConfigError::BadMacs { macs: t.macs });
         }
+        let ports = t.xbar_ports(self.cores);
+        if ports > Crossbar::MAX_PORTS {
+            return Err(ConfigError::TooManyPorts { ports });
+        }
         let map = MemMap::for_topology(t.dma_engines, t.macs);
         if map.end as usize > self.scratchpad_bytes {
             return Err(ConfigError::TopologyTooLarge {
@@ -451,6 +476,13 @@ mod tests {
             NicConfig::builder().mode(FwMode::Ideal).cores(2).build(),
             Err(ConfigError::IdealMultiCore { cores: 2 })
         );
+        // 70 cores + 2 DMA engines + 2 MACs: 74 crossbar ports.
+        assert_eq!(
+            NicConfig::builder().cores(70).build(),
+            Err(ConfigError::TooManyPorts { ports: 74 })
+        );
+        // 60 cores fill the 64 ports exactly.
+        assert!(NicConfig::builder().cores(60).build().is_ok());
         let cfg = NicConfig::builder()
             .cores(2)
             .cpu_mhz(500)

@@ -282,7 +282,7 @@ impl SysDef {
     /// Total crossbar requester ports (cores + one per frame-side
     /// scratchpad client).
     pub fn xbar_ports(&self) -> usize {
-        self.n_cores + 2 * self.topology.dma_engines + 2 * self.topology.macs
+        self.topology.xbar_ports(self.n_cores)
     }
 
     /// Crossbar port of a component kind, if it has one.

@@ -1385,6 +1385,16 @@ mod tests {
             NicSystem::build(cfg).finish().err(),
             Some(ConfigError::IdealMultiCore { cores: 2 })
         );
+        // More ports than the crossbar's request masks hold: an error
+        // from validation, not a panic in `Crossbar::new`.
+        let cfg = NicConfig {
+            cores: 70,
+            ..NicConfig::default()
+        };
+        assert_eq!(
+            NicSystem::build(cfg).finish().err(),
+            Some(ConfigError::TooManyPorts { ports: 74 })
+        );
     }
 
     /// End-to-end smoke test: a fast small system moves real frames both

@@ -64,6 +64,16 @@ pub struct CoreEngineStats {
     pub parked_ticks: u64,
 }
 
+/// One firmware function's code region, with the end of its first
+/// I-cache line precomputed so the fetch walk never divides.
+#[derive(Debug, Clone, Copy)]
+struct FetchRegion {
+    base: u64,
+    bytes: u64,
+    /// End address (exclusive) of the line holding `base`.
+    first_line_end: u64,
+}
+
 /// One simulated processing core.
 pub struct Core {
     id: usize,
@@ -73,14 +83,24 @@ pub struct Core {
     store_inflight: bool,
     /// Level-triggered wake line, consumed when a parked core resumes.
     wake_pending: bool,
+    /// Profiling tag read from the slot at the last poll. Firmware only
+    /// retags while being polled, so every cycle charged between polls
+    /// goes to this tag without borrowing the slot.
+    func: FwFunc,
     icache: ICache,
-    layout: CodeLayout,
+    /// Code region of each function, indexed by [`FwFunc::index`].
+    regions: [FetchRegion; 9],
     /// Offset of the fetch pointer within the current function's region.
     vpc_off: u64,
+    /// `vpc_off % line_bytes`, kept by compare-and-subtract.
+    line_off: u64,
+    /// End address (exclusive) of the line holding the fetch pointer.
+    line_end: u64,
+    /// `line_end` of the last line looked up, to avoid redundant I-cache
+    /// lookups; 0 means none (every line ends above address 0).
+    touched_end: u64,
     /// Function whose region the fetch pointer is walking.
     fetch_func: FwFunc,
-    /// Last line touched, to avoid redundant I-cache lookups.
-    last_line: Option<u64>,
     cycle: u64,
     profile: CoreProfile,
     stats: CoreEngineStats,
@@ -90,6 +110,16 @@ impl Core {
     /// Create core `id` (which is also its crossbar port) with the given
     /// I-cache geometry and code layout.
     pub fn new(id: usize, icache_cfg: ICacheConfig, layout: CodeLayout) -> Core {
+        let line_bytes = icache_cfg.line_bytes as u64;
+        let regions = FwFunc::ALL.map(|f| {
+            let (base, len_instr) = layout.region(f);
+            FetchRegion {
+                base,
+                bytes: len_instr as u64 * 4,
+                first_line_end: (base / line_bytes + 1) * line_bytes,
+            }
+        });
+        let fetch_func = FwFunc::Idle;
         Core {
             id,
             slot: new_slot(),
@@ -97,11 +127,14 @@ impl Core {
             state: State::Poll,
             store_inflight: false,
             wake_pending: false,
+            func: FwFunc::Idle,
             icache: ICache::new(icache_cfg),
-            layout,
+            regions,
             vpc_off: 0,
-            fetch_func: FwFunc::Idle,
-            last_line: None,
+            line_off: 0,
+            line_end: regions[fetch_func.index()].first_line_end,
+            touched_end: 0,
+            fetch_func,
             cycle: 0,
             profile: CoreProfile::new(),
             stats: CoreEngineStats::default(),
@@ -124,7 +157,9 @@ impl Core {
         self.fut = Some(Box::pin(fut));
         self.state = State::Poll;
         self.wake_pending = false;
-        self.slot.borrow_mut().halted = false;
+        let mut slot = self.slot.borrow_mut();
+        slot.halted = false;
+        self.func = slot.func;
     }
 
     /// Raise the core's wake line. A parked core resumes on its next
@@ -167,14 +202,18 @@ impl Core {
     }
 
     fn charge(&mut self, bucket: StallBucket) {
-        let f = self.slot.borrow().func;
-        self.profile.func_mut(f).cycles[bucket.index()] += 1;
+        self.profile.func_mut(self.func).cycles[bucket.index()] += 1;
     }
 
     /// Walk the fetch pointer over `n` instructions of the current
     /// function's code region, returning I-miss stall cycles. Emits
     /// [`Event::HandlerEnter`] when the fetch target moves to a different
     /// firmware function and [`Event::IcacheAccess`] per line touched.
+    ///
+    /// The walk advances in chunks that end where `vpc_off` crosses a
+    /// multiple of the line size, and wraps at the region's end. Line
+    /// offset, line end and wrap are all tracked by compare and
+    /// subtract, so any line and region size works without dividing.
     fn touch_code<P: Probe>(
         &mut self,
         mut n: u32,
@@ -182,14 +221,15 @@ impl Core {
         at: Ps,
         probe: &mut P,
     ) -> u32 {
-        let func = self.slot.borrow().func;
-        let (base, len_instr) = self.layout.region(func);
-        let region_bytes = len_instr as u64 * 4;
+        let func = self.func;
+        let region = self.regions[func.index()];
         if func != self.fetch_func {
             // Handler entry: fetch restarts at the function's first line.
             self.fetch_func = func;
             self.vpc_off = 0;
-            self.last_line = None;
+            self.line_off = 0;
+            self.line_end = region.first_line_end;
+            self.touched_end = 0;
             if P::ENABLED {
                 probe.emit(Event::HandlerEnter {
                     core: self.id,
@@ -201,11 +241,9 @@ impl Core {
         let line_bytes = self.icache.config().line_bytes as u64;
         let mut stall = 0u32;
         while n > 0 {
-            let addr = base + self.vpc_off;
-            let line = addr / line_bytes;
-            if self.last_line != Some(line) {
-                self.last_line = Some(line);
-                let hit = self.icache.access(addr);
+            if self.touched_end != self.line_end {
+                self.touched_end = self.line_end;
+                let hit = self.icache.access(region.base + self.vpc_off);
                 if P::ENABLED {
                     probe.emit(Event::IcacheAccess {
                         core: self.id,
@@ -219,10 +257,27 @@ impl Core {
                     stall += (done - now) as u32;
                 }
             }
-            let line_off = self.vpc_off % line_bytes;
-            let in_line = ((line_bytes - line_off) / 4) as u32;
+            let in_line = ((line_bytes - self.line_off) >> 2) as u32;
             let take = n.min(in_line.max(1));
-            self.vpc_off = (self.vpc_off + take as u64 * 4) % region_bytes;
+            let step = take as u64 * 4;
+            self.vpc_off += step;
+            self.line_off += step;
+            if self.vpc_off >= region.bytes {
+                // Region wrap: the handler's loop re-executes its first
+                // lines; the fetch line is found again from the top.
+                while self.vpc_off >= region.bytes {
+                    self.vpc_off -= region.bytes;
+                }
+                self.line_off = self.vpc_off;
+                self.line_end = region.first_line_end;
+            }
+            while self.line_off >= line_bytes {
+                self.line_off -= line_bytes;
+            }
+            let addr = region.base + self.vpc_off;
+            while addr >= self.line_end {
+                self.line_end += line_bytes;
+            }
             n -= take;
         }
         stall
@@ -277,12 +332,13 @@ impl Core {
                         }
                         Poll::Pending => {}
                     }
-                    let op = self
-                        .slot
-                        .borrow_mut()
-                        .pending
-                        .take()
-                        .expect("firmware future suspended without issuing an op");
+                    let op = {
+                        let mut slot = self.slot.borrow_mut();
+                        self.func = slot.func;
+                        slot.pending
+                            .take()
+                            .expect("firmware future suspended without issuing an op")
+                    };
                     let (n_instr, exec, annul, then, is_mem) = match op {
                         PendingOp::Alu(n) => (n, n, 0, Then::Poll, false),
                         PendingOp::Branch { mispredict } => {
@@ -293,13 +349,10 @@ impl Core {
                     };
                     debug_assert!(n_instr > 0, "alu(0) is filtered in CoreCtx");
                     let imiss = self.touch_code(n_instr, imem, now, probe);
-                    {
-                        let f = self.slot.borrow().func;
-                        let p = self.profile.func_mut(f);
-                        p.instructions += n_instr as u64;
-                        if is_mem {
-                            p.mem_accesses += 1;
-                        }
+                    let p = self.profile.func_mut(self.func);
+                    p.instructions += n_instr as u64;
+                    if is_mem {
+                        p.mem_accesses += 1;
                     }
                     self.state = State::Busy {
                         imiss,
@@ -486,8 +539,7 @@ impl Core {
                     (*imiss as u64 + *exec as u64 + *annul as u64) > n,
                     "skip must not consume the final Busy cycle"
                 );
-                let func = self.slot.borrow().func;
-                let p = self.profile.func_mut(func);
+                let p = self.profile.func_mut(self.func);
                 let mut left = n;
                 let take = (*imiss as u64).min(left);
                 p.cycles[StallBucket::IMiss.index()] += take;
@@ -514,8 +566,7 @@ impl Core {
                     !self.wake_pending,
                     "skipped a parked core with its wake line raised"
                 );
-                let func = self.slot.borrow().func;
-                self.profile.func_mut(func).cycles[StallBucket::Exec.index()] += n;
+                self.profile.func_mut(self.func).cycles[StallBucket::Exec.index()] += n;
                 self.stats.parked_ticks += n;
             }
             _ => unreachable!("skipped a core in a single-cycle state"),

@@ -51,11 +51,23 @@ struct Set {
     ways: Vec<u64>,
 }
 
+/// Where the most recently looked-up line sits: its first byte address,
+/// set index and tag. Fetch walks lines in order, so the next lookup is
+/// nearly always this line or the one after it, and both are derived
+/// from here by comparison and addition alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineCursor {
+    start: u64,
+    set: usize,
+    tag: u64,
+}
+
 /// One core's instruction cache (set-associative, true-LRU).
 #[derive(Debug, Clone)]
 pub struct ICache {
     cfg: ICacheConfig,
     sets: Vec<Set>,
+    cursor: LineCursor,
     hits: u64,
     misses: u64,
 }
@@ -67,6 +79,8 @@ impl ICache {
         ICache {
             cfg,
             sets: vec![Set { ways: Vec::new() }; sets],
+            // Line 0 is set 0, tag 0: a valid starting point.
+            cursor: LineCursor::default(),
             hits: 0,
             misses: 0,
         }
@@ -80,9 +94,7 @@ impl ICache {
     /// Look up the line containing byte address `addr`; returns `true` on
     /// hit. On miss the line is filled (victim = LRU way).
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
+        let (set_idx, tag) = self.locate(addr);
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.ways.iter().position(|&t| t == tag) {
             // Move to MRU position.
@@ -98,6 +110,33 @@ impl ICache {
             self.misses += 1;
             false
         }
+    }
+
+    /// The `(set, tag)` of the line holding `addr`, moving the cursor
+    /// there. The same line or the next one costs compares and adds;
+    /// only a jump (handler entry, region wrap) divides.
+    fn locate(&mut self, addr: u64) -> (usize, u64) {
+        let line_bytes = self.cfg.line_bytes as u64;
+        let c = &mut self.cursor;
+        // Wraps to a huge value for addresses below the cursor.
+        let ahead = addr.wrapping_sub(c.start);
+        if ahead >= 2 * line_bytes {
+            let line = addr / line_bytes;
+            let sets = self.sets.len() as u64;
+            *c = LineCursor {
+                start: line * line_bytes,
+                set: (line % sets) as usize,
+                tag: line / sets,
+            };
+        } else if ahead >= line_bytes {
+            c.start += line_bytes;
+            c.set += 1;
+            if c.set == self.sets.len() {
+                c.set = 0;
+                c.tag += 1;
+            }
+        }
+        (c.set, c.tag)
     }
 
     /// Hits since construction or [`ICache::reset_stats`].

@@ -77,6 +77,11 @@ struct Watch {
 pub struct Scratchpad {
     words: Vec<u32>,
     banks: usize,
+    /// `ceil(2^64 / banks)`, so [`Scratchpad::bank_of`] reduces a word
+    /// index modulo `banks` with two multiplications instead of a
+    /// division, exactly, for any bank count (Lemire, Kaser and Kurz,
+    /// "Faster Remainder by Direct Computation", 2019).
+    bank_magic: u64,
     watch: Option<Box<Watch>>,
 }
 
@@ -85,13 +90,20 @@ impl Scratchpad {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is not a multiple of 4 or `banks` is zero.
+    /// Panics if `bytes` is not a multiple of 4, or `banks` is zero or
+    /// does not fit in 32 bits.
     pub fn new(bytes: usize, banks: usize) -> Scratchpad {
         assert!(bytes.is_multiple_of(4), "capacity must be whole words");
         assert!(banks > 0, "need at least one bank");
+        assert!(
+            u32::try_from(banks).is_ok(),
+            "bank count must fit in 32 bits"
+        );
         Scratchpad {
             words: vec![0; bytes / 4],
             banks,
+            // Wraps to 0 for one bank, which maps every word to bank 0.
+            bank_magic: (u64::MAX / banks as u64).wrapping_add(1),
             watch: None,
         }
     }
@@ -157,7 +169,12 @@ impl Scratchpad {
 
     /// The bank a byte address maps to (word-interleaved).
     pub fn bank_of(&self, addr: u32) -> usize {
-        (addr as usize / 4) % self.banks
+        // `(addr / 4) % banks`: the low 64 bits of `magic * word` are
+        // the fractional part of `word / banks` in 64-bit fixed point,
+        // and scaling that by `banks` leaves the remainder in the high
+        // word.
+        let frac = self.bank_magic.wrapping_mul(u64::from(addr >> 2));
+        ((u128::from(frac) * self.banks as u128) >> 64) as usize
     }
 
     fn word_index(&self, addr: u32) -> usize {
@@ -281,6 +298,30 @@ mod tests {
         assert_eq!(s.bank_of(8), 2);
         assert_eq!(s.bank_of(12), 3);
         assert_eq!(s.bank_of(16), 0);
+    }
+
+    #[test]
+    fn bank_of_equals_word_index_modulo_banks() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for banks in (1..=67).chain([1000, 65_537, u32::MAX as usize]) {
+            let s = Scratchpad::new(4, banks);
+            let check = |addr: u32| {
+                assert_eq!(
+                    s.bank_of(addr),
+                    (addr as usize / 4) % banks,
+                    "addr {addr:#x}, {banks} banks"
+                );
+            };
+            for addr in [0, 4, !3, u32::MAX, (banks as u32).wrapping_mul(4)] {
+                check(addr);
+            }
+            for _ in 0..2000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                check(x as u32);
+            }
+        }
     }
 
     #[test]

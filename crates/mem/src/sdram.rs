@@ -287,11 +287,12 @@ impl FrameMemory {
             if t > now {
                 break;
             }
-            let queues = &self.queues;
-            let winner = self
-                .arbiter
-                .grant(|s| queues[s].front().is_some_and(|b| b.submitted <= t));
-            let Some(s) = winner else { break };
+            let ready = self.queues.iter().enumerate().fold(0u64, |m, (s, q)| {
+                m | u64::from(q.front().is_some_and(|b| b.submitted <= t)) << s
+            });
+            let Some(s) = self.arbiter.grant(ready) else {
+                break;
+            };
             let burst = self.queues[s].pop_front().expect("winner has burst");
             let dur = self.service_time(&burst);
             let mut done = t + dur;

@@ -39,6 +39,10 @@ pub struct PortStats {
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     req: SpRequest,
+    /// The bank `req.addr` maps to, filled in by each arbitration round
+    /// (the port does not know the bank geometry) and read back when
+    /// reporting a conflict.
+    bank: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +68,7 @@ impl Port {
             self.pending.is_none() && self.response.is_none(),
             "port {id} already has an outstanding transaction"
         );
-        self.pending = Some(Pending { req });
+        self.pending = Some(Pending { req, bank: 0 });
     }
 
     fn take_response(&mut self, cycle: u64) -> Option<u32> {
@@ -168,16 +172,34 @@ impl XbarPort for PortHandle {
 pub struct Crossbar {
     ports: Vec<Port>,
     arbiters: Vec<RoundRobin>,
+    /// Per-bank request masks (bit *p* = port *p*), rebuilt every tick;
+    /// kept here only to reuse the allocation.
+    requests: Vec<u64>,
     cycle: u64,
     bank_busy_cycles: Vec<u64>,
 }
 
 impl Crossbar {
-    /// Create a crossbar with `ports` requesters over the banks of `sp`.
+    /// Most requester ports a crossbar can have: arbitration works on
+    /// one `u64` request mask per bank.
+    pub const MAX_PORTS: usize = RoundRobin::MAX_REQUESTERS;
+
+    /// Create a crossbar with `ports` requesters over `banks` scratchpad
+    /// banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds [`Crossbar::MAX_PORTS`].
     pub fn new(ports: usize, banks: usize) -> Crossbar {
+        assert!(
+            ports <= Self::MAX_PORTS,
+            "crossbar supports at most {} ports (cores plus assists), got {ports}",
+            Self::MAX_PORTS
+        );
         Crossbar {
             ports: vec![Port::default(); ports],
             arbiters: vec![RoundRobin::new(ports); banks],
+            requests: vec![0; banks],
             cycle: 0,
             bank_busy_cycles: vec![0; banks],
         }
@@ -316,49 +338,55 @@ impl Crossbar {
     /// cycle, stamped with `now`.
     pub fn tick_probed<P: Probe>(&mut self, sp: &mut Scratchpad, now: Ps, probe: &mut P) {
         self.cycle += 1;
-        for bank in 0..self.arbiters.len() {
-            let winner = {
-                let ports = &self.ports;
-                self.arbiters[bank].grant(|p| {
-                    ports[p]
-                        .pending
-                        .as_ref()
-                        .is_some_and(|q| sp.bank_of(q.req.addr) == bank)
-                })
-            };
-            if let Some(p) = winner {
-                let q = self.ports[p].pending.take().expect("winner has request");
-                let value = sp.execute(q.req);
-                if P::ENABLED {
-                    probe.emit(Event::SpGrant {
-                        port: p,
-                        bank,
-                        addr: q.req.addr,
-                        write: q.req.op.is_write(),
-                        at: now,
-                    });
-                }
-                self.ports[p].response = Some(Response {
-                    value,
-                    ready_at: self.cycle + 1,
-                });
-                self.ports[p].stats.grants += 1;
-                self.bank_busy_cycles[bank] += 1;
+        // One pass over the ports: each pending request's bank is
+        // computed once and its port bit set in that bank's mask.
+        let mut waiting = 0u64;
+        for (p, port) in self.ports.iter_mut().enumerate() {
+            if let Some(q) = &mut port.pending {
+                q.bank = sp.bank_of(q.req.addr);
+                self.requests[q.bank] |= 1 << p;
+                waiting |= 1 << p;
             }
         }
-        // Every request still pending after this arbitration round lost a
+        for bank in 0..self.requests.len() {
+            let requests = std::mem::take(&mut self.requests[bank]);
+            let Some(p) = self.arbiters[bank].grant(requests) else {
+                continue;
+            };
+            waiting &= !(1 << p);
+            let q = self.ports[p].pending.take().expect("winner has request");
+            let value = sp.execute(q.req);
+            if P::ENABLED {
+                probe.emit(Event::SpGrant {
+                    port: p,
+                    bank,
+                    addr: q.req.addr,
+                    write: q.req.op.is_write(),
+                    at: now,
+                });
+            }
+            self.ports[p].response = Some(Response {
+                value,
+                ready_at: self.cycle + 1,
+            });
+            self.ports[p].stats.grants += 1;
+            self.bank_busy_cycles[bank] += 1;
+        }
+        // Every request still waiting after this arbitration round lost a
         // cycle to a bank conflict (uncontended requests are granted on
-        // their first round).
-        for p in 0..self.ports.len() {
-            if let Some(q) = self.ports[p].pending {
-                self.ports[p].stats.conflict_cycles += 1;
-                if P::ENABLED {
-                    probe.emit(Event::SpConflict {
-                        port: p,
-                        bank: sp.bank_of(q.req.addr),
-                        at: now,
-                    });
-                }
+        // their first round). Bits are visited in port order.
+        while waiting != 0 {
+            let p = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let port = &mut self.ports[p];
+            port.stats.conflict_cycles += 1;
+            if P::ENABLED {
+                let bank = port.pending.as_ref().expect("loser has request").bank;
+                probe.emit(Event::SpConflict {
+                    port: p,
+                    bank,
+                    at: now,
+                });
             }
         }
     }
@@ -504,6 +532,12 @@ mod tests {
                 op: SpOp::Read,
             },
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ports")]
+    fn more_ports_than_the_request_mask_panics() {
+        let _ = Crossbar::new(Crossbar::MAX_PORTS + 1, 4);
     }
 
     #[test]

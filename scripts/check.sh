@@ -115,6 +115,13 @@ NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/trace \
     --trace target/trace_smoke.json >/dev/null
 rm -f target/trace_smoke.json target/BENCH_trace.json
 
+echo "==> perfbench smoke (the repo benchmark's own test, ~1 min)"
+# Runs every benchmark workload on tiny windows and checks its gates
+# (simulated outputs unchanged with tracing on, event kernel equal to
+# the dense one, replay counts): a hot-path change that breaks one
+# fails here, before the full benchmark ever runs.
+python3 perfbench/smoke_test.py
+
 echo "==> cargo clippy (deny warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --quiet -- -D warnings
