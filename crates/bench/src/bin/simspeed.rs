@@ -43,8 +43,12 @@
 //! stats must be bit-identical (the equivalence guarantee, re-asserted
 //! here on the real benchmark workload). Results land in
 //! `results/BENCH_simspeed.json` with per-point wall times, simulated
-//! cycles, cycles-per-host-second, speedups, and the skip/rendezvous
-//! split (`scripts/bench_compare.sh` diffs two such files).
+//! cycles, cycles-per-host-second, speedups, the skip/rendezvous
+//! split, and the firmware hand-off counts: `ops_per_stepped_cycle`
+//! (ops issued per cycle the event kernel stepped in the window) and
+//! `polls_per_op` (firmware future polls per op; below 1 because ops
+//! whose result is `()` are queued without a poll).
+//! `scripts/bench_compare.sh` diffs two such files.
 //!
 //! Smoke mode (`NICSIM_SIMSPEED_SMOKE=1`, implied by `NICSIM_QUICK=1`)
 //! shrinks the windows and exits non-zero on a correctness mismatch or
@@ -218,12 +222,22 @@ fn main() {
         };
         let ref_wall = t0.elapsed();
 
+        // `run_measured` by hand, to count the cycles stepped in the
+        // window alone: the firmware op counters cover only the window.
         let mut fast_sys = NicSystem::build(p.cfg).finish().unwrap();
-        let t0 = Instant::now();
-        let fast_stats = match p.kernel {
-            Kernel::Event => fast_sys.run_measured(warmup, window),
-            Kernel::Parallel => fast_sys.run_measured_parallel(warmup, window),
+        let run_until = |sys: &mut NicSystem, span: nicsim_sim::Ps| {
+            let until = sys.now() + span;
+            match p.kernel {
+                Kernel::Event => sys.run_until(until),
+                Kernel::Parallel => sys.run_until_parallel(until),
+            }
         };
+        let t0 = Instant::now();
+        run_until(&mut fast_sys, warmup);
+        fast_sys.reset_window();
+        let (_, warmup_stepped) = fast_sys.kernel_cycle_split();
+        run_until(&mut fast_sys, window);
+        let fast_stats = fast_sys.collect();
         let fast_wall = t0.elapsed();
 
         let stats_identical = fast_stats == ref_stats;
@@ -237,6 +251,9 @@ fn main() {
         };
         let skipped_fraction = skipped as f64 / (skipped + stepped).max(1) as f64;
         let rendezvous_per_stepped = sync.rendezvous as f64 / stepped.max(1) as f64;
+        let (ops, polls) = fast_sys.firmware_ops_and_polls();
+        let ops_per_stepped_cycle = ops as f64 / (stepped - warmup_stepped).max(1) as f64;
+        let polls_per_op = polls as f64 / ops.max(1) as f64;
 
         let sim_cycles = fast_stats.core_ticks;
         let speedup = ref_wall.as_secs_f64() / fast_wall.as_secs_f64().max(1e-9);
@@ -249,6 +266,10 @@ fn main() {
             fast_wall.as_secs_f64(),
             speedup,
             cps / 1e6
+        );
+        println!(
+            "{:>36} firmware ops/stepped cycle {ops_per_stepped_cycle:.3}, polls/op {polls_per_op:.3}",
+            ""
         );
         if p.kernel == Kernel::Parallel {
             println!(
@@ -315,6 +336,8 @@ fn main() {
                 .with("batched_cycles", sync.batched_cycles)
                 .with("solo_cycles", sync.solo_cycles)
                 .with("rendezvous_per_stepped", rendezvous_per_stepped)
+                .with("ops_per_stepped_cycle", ops_per_stepped_cycle)
+                .with("polls_per_op", polls_per_op)
                 .with("target_speedup", p.target_speedup)
                 .with("stats_identical", stats_identical),
         );

@@ -380,7 +380,7 @@ impl<P: Probe> SystemBuilder<P> {
             let mut core = Core::new(id, cfg.icache, CodeLayout::new());
             let ctx = CoreCtx::new(core.slot(), id);
             if cfg.capture_ilp && id == 0 {
-                core.slot().borrow_mut().trace = Some(Vec::new());
+                core.capture_trace();
             }
             let fw = Fw {
                 ctx: ctx.clone(),
@@ -1002,6 +1002,16 @@ impl<P: Probe> NicSystem<P> {
         }
     }
 
+    /// `(ops, polls)` summed over every core since the window opened:
+    /// firmware operations issued, and polls of the firmware futures
+    /// that issued them.
+    pub fn firmware_ops_and_polls(&self) -> (u64, u64) {
+        self.cores.iter().fold((0, 0), |(ops, polls), c| {
+            let st = c.engine_stats();
+            (ops + st.ops, polls + st.polls)
+        })
+    }
+
     /// `(skipped, simulated)` cycle counts accumulated by the
     /// event-driven kernel, for diagnostics and the simulation-speed
     /// benchmark. Dense runs leave both at zero.
@@ -1320,7 +1330,7 @@ impl<P: Probe> NicSystem<P> {
 
     /// Take core 0's operation trace (requires `capture_ilp`).
     pub fn take_ilp_trace(&mut self) -> Option<Vec<OpEvent>> {
-        self.cores[0].slot().borrow_mut().trace.take()
+        self.cores[0].take_trace()
     }
 
     /// MAC receive drops so far (overruns), summed over every MAC.

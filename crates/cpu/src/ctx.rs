@@ -9,9 +9,16 @@
 //! test-and-set spinlock whose acquire/spin cost is charged to the
 //! direction's locking bucket (Table 5's "Send Locking"/"Receive
 //! Locking" rows).
+//!
+//! Ops whose API returns `()` (`alu`, `branch`, `branch_miss`, `store`,
+//! `set_bit`, `wfi`) are queued and return at once; the firmware only
+//! suspends at an op whose value it reads (`load`, `test_and_set`,
+//! `update`) or when the queue is full. The engine charges queued ops in
+//! order, each to the tag that was current when it was issued, so the
+//! simulated timing is the same as if every op suspended.
 
 use crate::func::FwFunc;
-use crate::slot::{OpEvent, PendingOp, SharedSlot};
+use crate::slot::{CoreSlot, PendingOp, SharedSlot};
 use nicsim_mem::{SpOp, SpRequest};
 use std::future::Future;
 use std::pin::Pin;
@@ -24,27 +31,34 @@ pub struct CoreCtx {
     core_id: usize,
 }
 
-/// Future for one machine operation: deposits the op on first poll,
-/// resolves with the engine's response on the next poll.
-pub struct Op {
-    slot: SharedSlot,
+/// Future for one machine operation. It queues the op on first poll
+/// (or, if the ring is full, on the engine's next poll, which comes once
+/// the ring has drained). An op that returns `()` then resolves at once;
+/// a load or atomic suspends until the engine deposits its value.
+pub struct Op<'a> {
+    slot: &'a CoreSlot,
     op: Option<PendingOp>,
+    value: bool,
 }
 
-impl Future for Op {
+impl Future for Op<'_> {
     type Output = u32;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<u32> {
-        if let Some(op) = self.op.take() {
-            let mut slot = self.slot.borrow_mut();
-            debug_assert!(slot.pending.is_none(), "engine polled with op pending");
-            slot.pending = Some(op);
-            return Poll::Pending;
+        if let Some(op) = self.op {
+            if !self.slot.push(op) {
+                return Poll::Pending;
+            }
+            self.op = None;
+            return if self.value {
+                Poll::Pending
+            } else {
+                Poll::Ready(0)
+            };
         }
-        let mut slot = self.slot.borrow_mut();
-        match slot.response.take() {
+        match self.slot.response.take() {
             Some(v) => Poll::Ready(v),
-            // The engine only polls when the response is ready, but a
+            // The engine only polls once the response is ready, but a
             // future may be polled spuriously by combinators; stay pending.
             None => Poll::Pending,
         }
@@ -62,28 +76,52 @@ impl CoreCtx {
         self.core_id
     }
 
-    fn issue(&self, op: PendingOp) -> Op {
+    /// An op whose result is `()`: queued, charged later.
+    fn unit(&self, op: PendingOp) -> Op<'_> {
         Op {
-            slot: self.slot.clone(),
+            slot: &self.slot,
             op: Some(op),
+            value: false,
         }
     }
 
-    fn trace(&self, ev: OpEvent) {
-        if let Some(t) = self.slot.borrow_mut().trace.as_mut() {
-            t.push(ev);
+    /// An op whose result the firmware reads.
+    fn value(&self, op: PendingOp) -> Op<'_> {
+        Op {
+            slot: &self.slot,
+            op: Some(op),
+            value: true,
         }
+    }
+
+    fn mem(addr: u32, op: SpOp) -> PendingOp {
+        PendingOp::Mem(SpRequest { addr, op })
     }
 
     /// Switch the profiling tag; subsequent work is attributed to `f`.
     /// Returns the previous tag so handlers can restore it.
     pub fn set_func(&self, f: FwFunc) -> FwFunc {
-        std::mem::replace(&mut self.slot.borrow_mut().func, f)
+        self.slot.func.replace(f)
     }
 
     /// The current profiling tag.
     pub fn func(&self) -> FwFunc {
-        self.slot.borrow().func
+        self.slot.func.get()
+    }
+
+    /// Resolve once the engine has charged every queued op, i.e. at the
+    /// simulated cycle the last of them completes. Code that reads state
+    /// other than op results (a fault stream, say) awaits this first, so
+    /// it runs at the same cycle it would if no op were queued.
+    pub async fn drain(&self) {
+        std::future::poll_fn(|_| {
+            if self.slot.is_empty() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await
     }
 
     /// Execute `n` ALU/control instructions. `alu(0)` is free.
@@ -91,21 +129,18 @@ impl CoreCtx {
         if n == 0 {
             return;
         }
-        self.trace(OpEvent::Alu(n));
-        self.issue(PendingOp::Alu(n)).await;
+        self.unit(PendingOp::Alu(n)).await;
     }
 
     /// Execute a correctly-predicted branch (1 cycle).
     pub async fn branch(&self) {
-        self.trace(OpEvent::Branch { mispredict: false });
-        self.issue(PendingOp::Branch { mispredict: false }).await;
+        self.unit(PendingOp::Branch { mispredict: false }).await;
     }
 
     /// Execute a statically mispredicted branch (1 cycle + 1 annulled
     /// issue slot).
     pub async fn branch_miss(&self) {
-        self.trace(OpEvent::Branch { mispredict: true });
-        self.issue(PendingOp::Branch { mispredict: true }).await;
+        self.unit(PendingOp::Branch { mispredict: true }).await;
     }
 
     /// Wait for interrupt: issue one instruction, then park the core
@@ -113,40 +148,24 @@ impl CoreCtx {
     /// mode only — polling firmware never calls this). Traced as a
     /// single ALU instruction for the ILP expansion.
     pub async fn wfi(&self) {
-        self.trace(OpEvent::Alu(1));
-        self.issue(PendingOp::Wfi).await;
+        self.unit(PendingOp::Wfi).await;
     }
 
     /// Load a 32-bit word from scratchpad byte address `addr`.
     pub async fn load(&self, addr: u32) -> u32 {
-        self.trace(OpEvent::Load);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Read,
-        }))
-        .await
+        self.value(Self::mem(addr, SpOp::Read)).await
     }
 
     /// Store `val` to scratchpad byte address `addr` (buffered; does not
     /// stall unless the store buffer is busy).
     pub async fn store(&self, addr: u32, val: u32) {
-        self.trace(OpEvent::Store);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Write(val),
-        }))
-        .await;
+        self.unit(Self::mem(addr, SpOp::Write(val))).await;
     }
 
     /// Atomic test-and-set on `addr`; returns the old value (0 means the
     /// caller acquired the location).
     pub async fn test_and_set(&self, addr: u32) -> u32 {
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::TestAndSet,
-        }))
-        .await
+        self.value(Self::mem(addr, SpOp::TestAndSet)).await
     }
 
     /// The paper's `set` instruction: atomically set bit `bit_index` of
@@ -154,12 +173,8 @@ impl CoreCtx {
     /// single scratchpad transaction.
     pub async fn set_bit(&self, base: u32, bit_index: u32) {
         let addr = base + (bit_index / 32) * 4;
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::SetBit((bit_index % 32) as u8),
-        }))
-        .await;
+        self.unit(Self::mem(addr, SpOp::SetBit((bit_index % 32) as u8)))
+            .await;
     }
 
     /// The paper's `update` instruction: examine the aligned 32-bit word
@@ -169,14 +184,9 @@ impl CoreCtx {
     /// examined per invocation, as in the paper.
     pub async fn update(&self, base: u32, bit_index: u32) -> u32 {
         let addr = base + (bit_index / 32) * 4;
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Update {
-                start_bit: (bit_index % 32) as u8,
-            },
-        }))
-        .await
+        let start_bit = (bit_index % 32) as u8;
+        self.value(Self::mem(addr, SpOp::Update { start_bit }))
+            .await
     }
 
     /// Acquire the spinlock at `addr`, charging acquire and spin work to

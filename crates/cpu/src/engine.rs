@@ -3,18 +3,20 @@
 //! `Core::tick` is called once per CPU-clock cycle (after the crossbar has
 //! arbitrated). It advances the core's pipeline state machine, charging
 //! every cycle to exactly one [`StallBucket`] of the current firmware
-//! function, and polls the firmware future whenever the core is ready to
-//! issue the next operation. See the crate docs for the timing rules.
+//! function. When the core is ready to issue, it takes the next op the
+//! firmware queued in its [`crate::CoreSlot`], and polls the firmware
+//! future only when none is queued. See the crate docs for the timing
+//! rules.
 
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
-use crate::slot::{new_slot, PendingOp, SharedSlot};
+use crate::slot::{new_slot, OpEvent, PendingOp, SharedSlot};
 use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest, XbarPort};
 use nicsim_obs::{Event, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Waker};
 
 /// Cycles from a doorbell raising the wake line of a parked core to the
 /// firmware's first dispatch instruction issuing — the paper's 2-cycle
@@ -24,7 +26,7 @@ const WAKE_DISPATCH_CYCLES: u32 = 2;
 /// What to do after the currently-charging cycles elapse.
 #[derive(Debug, Clone, Copy)]
 enum Then {
-    /// Poll the firmware for its next operation.
+    /// Issue the next operation.
     Poll,
     /// Submit this memory transaction to the crossbar.
     Mem(SpRequest),
@@ -34,7 +36,8 @@ enum Then {
 
 #[derive(Debug, Clone, Copy)]
 enum State {
-    /// Ready to poll the firmware future.
+    /// Ready to issue: take the next queued op, polling the firmware
+    /// future first if none is queued.
     Poll,
     /// Charging cycles: I-miss stall, then execution, then annulled slots.
     Busy {
@@ -49,7 +52,7 @@ enum State {
     WaitMem { waited: u32 },
     /// Parked by `wfi`; wakes when the wake line is raised.
     Parked,
-    /// Firmware future completed.
+    /// Firmware future completed and its queued ops charged.
     Halted,
 }
 
@@ -62,6 +65,10 @@ pub struct CoreEngineStats {
     pub halted_ticks: u64,
     /// Ticks spent parked on `wfi` (interrupt dispatch mode).
     pub parked_ticks: u64,
+    /// Firmware operations issued.
+    pub ops: u64,
+    /// Polls of the firmware future.
+    pub polls: u64,
 }
 
 /// One firmware function's code region, with the end of its first
@@ -78,14 +85,14 @@ struct FetchRegion {
 pub struct Core {
     id: usize,
     slot: SharedSlot,
+    /// The firmware future; `None` once it has completed.
     fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
     state: State,
     store_inflight: bool,
     /// Level-triggered wake line, consumed when a parked core resumes.
     wake_pending: bool,
-    /// Profiling tag read from the slot at the last poll. Firmware only
-    /// retags while being polled, so every cycle charged between polls
-    /// goes to this tag without borrowing the slot.
+    /// Profiling tag of the op being charged, taken from its ring entry.
+    /// Stall cycles until the next op issues are charged to it too.
     func: FwFunc,
     icache: ICache,
     /// Code region of each function, indexed by [`FwFunc::index`].
@@ -104,6 +111,8 @@ pub struct Core {
     cycle: u64,
     profile: CoreProfile,
     stats: CoreEngineStats,
+    /// Coarse record of every op issued, for the ILP analysis.
+    trace: Option<Vec<OpEvent>>,
 }
 
 impl Core {
@@ -138,6 +147,7 @@ impl Core {
             cycle: 0,
             profile: CoreProfile::new(),
             stats: CoreEngineStats::default(),
+            trace: None,
         }
     }
 
@@ -152,14 +162,29 @@ impl Core {
         self.slot.clone()
     }
 
-    /// Install the firmware future this core runs.
+    /// Install the firmware future this core runs, dropping whatever the
+    /// previous one queued. Unless it had halted, the new program starts
+    /// from the tag of the last op charged: a retag the old one made
+    /// while running ahead is dropped with the ops it queued.
     pub fn install(&mut self, fut: impl Future<Output = ()> + 'static) {
+        if !self.halted() {
+            self.slot.func.set(self.func);
+        }
         self.fut = Some(Box::pin(fut));
         self.state = State::Poll;
         self.wake_pending = false;
-        let mut slot = self.slot.borrow_mut();
-        slot.halted = false;
-        self.func = slot.func;
+        self.slot.clear();
+        self.func = self.slot.func.get();
+    }
+
+    /// Start recording an [`OpEvent`] for every op issued from now on.
+    pub fn capture_trace(&mut self) {
+        self.trace = Some(Vec::new());
+    }
+
+    /// Take the ops recorded since [`Core::capture_trace`].
+    pub fn take_trace(&mut self) -> Option<Vec<OpEvent>> {
+        self.trace.take()
     }
 
     /// Raise the core's wake line. A parked core resumes on its next
@@ -174,7 +199,8 @@ impl Core {
         matches!(self.state, State::Parked)
     }
 
-    /// Whether the firmware future has completed.
+    /// Whether the firmware future has completed and every op it
+    /// queued has been charged.
     pub fn halted(&self) -> bool {
         matches!(self.state, State::Halted)
     }
@@ -321,24 +347,32 @@ impl Core {
                     return;
                 }
                 State::Poll => {
-                    let waker = Waker::noop();
-                    let mut cx = Context::from_waker(waker);
-                    let fut = self.fut.as_mut().expect("firmware installed");
-                    match fut.as_mut().poll(&mut cx) {
-                        Poll::Ready(()) => {
-                            self.state = State::Halted;
-                            self.slot.borrow_mut().halted = true;
-                            continue;
+                    let mut entry = self.slot.pop();
+                    if entry.is_none() {
+                        // Nothing queued: the firmware waits on a value,
+                        // deposited by now, or has not run yet.
+                        if let Some(fut) = self.fut.as_mut() {
+                            self.stats.polls += 1;
+                            let mut cx = Context::from_waker(Waker::noop());
+                            if fut.as_mut().poll(&mut cx).is_ready() {
+                                self.fut = None;
+                            }
                         }
-                        Poll::Pending => {}
+                        entry = self.slot.pop();
                     }
-                    let op = {
-                        let mut slot = self.slot.borrow_mut();
-                        self.func = slot.func;
-                        slot.pending
-                            .take()
-                            .expect("firmware future suspended without issuing an op")
+                    let Some((op, func)) = entry else {
+                        assert!(
+                            self.fut.is_none(),
+                            "firmware future suspended without issuing an op"
+                        );
+                        self.state = State::Halted;
+                        continue;
                     };
+                    self.stats.ops += 1;
+                    self.func = func;
+                    if let Some(trace) = self.trace.as_mut() {
+                        trace.push(OpEvent::of(op));
+                    }
                     let (n_instr, exec, annul, then, is_mem) = match op {
                         PendingOp::Alu(n) => (n, n, 0, Then::Poll, false),
                         PendingOp::Branch { mispredict } => {
@@ -392,11 +426,7 @@ impl Core {
                     // Last cycle: perform the follow-up action at the tail
                     // of this cycle.
                     match then {
-                        Then::Poll => {
-                            // ALU/branch ops complete with a dummy value.
-                            self.slot.borrow_mut().response = Some(0);
-                            self.state = State::Poll;
-                        }
+                        Then::Poll => self.state = State::Poll,
                         Then::Mem(req) => {
                             let is_store = matches!(req.op, SpOp::Write(_));
                             if self.store_inflight {
@@ -407,21 +437,13 @@ impl Core {
                             } else if is_store {
                                 port.submit(req);
                                 self.store_inflight = true;
-                                // Store response value is the written word.
-                                if let SpOp::Write(v) = req.op {
-                                    self.slot.borrow_mut().response = Some(v);
-                                }
                                 self.state = State::Poll;
                             } else {
                                 port.submit(req);
                                 self.state = State::WaitMem { waited: 0 };
                             }
                         }
-                        Then::Park => {
-                            // The response is deposited on resume, when
-                            // the wake dispatch completes.
-                            self.state = State::Parked;
-                        }
+                        Then::Park => self.state = State::Parked,
                     }
                     return;
                 }
@@ -435,9 +457,6 @@ impl Core {
                             self.state = State::WaitMem { waited: 0 };
                         } else {
                             self.store_inflight = true;
-                            if let SpOp::Write(v) = req.op {
-                                self.slot.borrow_mut().response = Some(v);
-                            }
                             self.state = State::Poll;
                         }
                     } else {
@@ -464,7 +483,7 @@ impl Core {
                 }
                 State::WaitMem { waited } => {
                     if let Some(v) = port.take_response() {
-                        self.slot.borrow_mut().response = Some(v);
+                        self.slot.response.set(Some(v));
                         // The dependent instruction issues this very
                         // cycle: chain into Poll without consuming.
                         self.state = State::Poll;
@@ -786,6 +805,58 @@ mod tests {
         }
         assert!(c0.halted() && c1.halted(), "deadlock or livelock");
         assert_eq!(sp.peek(COUNTER), 100, "lost update under lock");
+    }
+
+    #[test]
+    fn unit_ops_resolve_at_issue_until_the_ring_fills() {
+        let mut rig = Rig::new();
+        let ctx = rig.ctx();
+        rig.core.install(async move {
+            for _ in 0..20 {
+                ctx.alu(1).await;
+            }
+            ctx.load(0).await;
+        });
+        rig.run(200);
+        let st = rig.core.engine_stats();
+        assert_eq!(st.ops, 21);
+        // Two polls stop at a full ring (8 + 8 queued), a third queues
+        // the last 4 and the load, a fourth takes the loaded value.
+        assert_eq!(crate::slot::RING_DEPTH, 8);
+        assert_eq!(st.polls, 4);
+        assert_eq!(cycles_sans_imiss(&rig.core), 20 + 2);
+    }
+
+    #[test]
+    fn install_over_queued_ops_charges_only_the_new_program() {
+        let mut rig = Rig::new();
+        let ctx = rig.ctx();
+        rig.core.install(async move {
+            ctx.set_func(FwFunc::SendFrame);
+            ctx.alu(4).await;
+            ctx.set_func(FwFunc::RecvFrame);
+            ctx.alu(3).await;
+            ctx.store(8, 1).await;
+            ctx.load(8).await;
+        });
+        // The first tick queues all four ops and starts the alu(4).
+        rig.xbar.tick(&mut rig.sp);
+        rig.core.tick(&mut rig.xbar, &mut rig.imem);
+        assert_eq!(rig.core.engine_stats().ops, 1);
+
+        let ctx = rig.ctx();
+        rig.core.install(async move {
+            ctx.alu(2).await;
+        });
+        rig.run(100);
+        let p = rig.core.profile();
+        // The new program inherits the tag of the op being charged, not
+        // the retag the old one made while running ahead.
+        assert_eq!(p.func(FwFunc::SendFrame).instructions, 4 + 2);
+        assert_eq!(p.func(FwFunc::RecvFrame).total_cycles(), 0);
+        assert_eq!(p.total(|f| f.mem_accesses), 0);
+        assert_eq!(rig.sp.peek(8), 0, "the queued store never issued");
+        assert_eq!(rig.core.engine_stats().ops, 2);
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //!   stall the core while the line fills from the shared 128-bit
 //!   instruction-memory interface.
 //!
-//! Firmware is ordinary Rust `async` code written against [`CoreCtx`]: the
-//! core engine polls the firmware future only when the operation it issued
-//! has been charged (and, for loads, when the data actually returned from
-//! the simulated scratchpad), which makes execution *execution-driven* —
-//! lock contention and ordering races unfold at their real cycle times.
+//! Firmware is ordinary Rust `async` code written against [`CoreCtx`].
+//! Ops whose result the firmware never reads (ALU work, branches,
+//! stores, `set`, `wfi`) are queued in the core's [`CoreSlot`] and return
+//! at once; the future suspends at the next load or atomic. The core
+//! engine charges the queued ops in order and polls the future again only
+//! once the value it waits on has actually returned from the simulated
+//! scratchpad. Execution is therefore *execution-driven* — lock
+//! contention and ordering races unfold at their real cycle times.
 //! Per-function cycle/instruction/access profiles (the raw material of
 //! Tables 1, 3, 5 and 6) are collected in [`CoreProfile`].
 
@@ -36,4 +39,4 @@ pub use ctx::CoreCtx;
 pub use engine::Core;
 pub use func::{CoreProfile, FuncProfile, FwFunc, StallBucket};
 pub use layout::CodeLayout;
-pub use slot::{CoreSlot, OpEvent, PendingOp, SharedSlot};
+pub use slot::{CoreSlot, OpEvent, PendingOp, SharedSlot, RING_DEPTH};

@@ -48,7 +48,7 @@ impl Fw {
         match src {
             0 => {
                 if peek_work(ctx, m.sb_mailbox_prod, m.sb_fetched).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.fetch_send_bds(host).await
@@ -58,7 +58,7 @@ impl Fw {
             }
             1 => {
                 if peek_work(ctx, m.dmard_done, m.dmard_claim).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.process_dmard_completions(0).await
@@ -68,7 +68,7 @@ impl Fw {
             }
             2 => {
                 if peek_work(ctx, m.sbd_parsed, m.sbd_cons).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.send_frames().await
@@ -78,7 +78,7 @@ impl Fw {
             }
             3 => {
                 if peek_work(ctx, m.mactx_done, m.send_txdone_claim).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.process_mactx_done(host).await
@@ -88,7 +88,7 @@ impl Fw {
             }
             4 => {
                 if peek_work(ctx, m.rb_mailbox_prod, m.rb_fetched).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.fetch_recv_bds(host).await
@@ -98,7 +98,7 @@ impl Fw {
             }
             5 => {
                 if peek_work(ctx, m.macrx_prod, m.recv_claim).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.recv_frames().await
@@ -108,7 +108,7 @@ impl Fw {
             }
             6 => {
                 if peek_work(ctx, m.dmawr_done, m.dmawr_claim).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.process_dmawr_completions(0, host).await
@@ -118,7 +118,7 @@ impl Fw {
             }
             7 => {
                 if peek_bit_pending(ctx, m.send_ready_bits, m.send_ready_commit).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.commit_send_ready().await;
@@ -129,7 +129,7 @@ impl Fw {
             }
             8 => {
                 if peek_bit_pending(ctx, m.send_txdone_bits, m.send_txdone_commit).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.commit_txdone(host).await;
@@ -140,7 +140,7 @@ impl Fw {
             }
             9 => {
                 if peek_bit_pending(ctx, m.recv_done_bits, m.recv_commit).await {
-                    if self.fw_fault_fires() {
+                    if self.fw_fault_fires().await {
                         return self.fw_fault_abort().await;
                     }
                     self.commit_recv(host).await;
@@ -157,7 +157,7 @@ impl Fw {
                 if (src - N_SOURCES).is_multiple_of(2) {
                     let d = *m.dmard(eng);
                     if peek_work(ctx, d.done, d.claim).await {
-                        if self.fw_fault_fires() {
+                        if self.fw_fault_fires().await {
                             return self.fw_fault_abort().await;
                         }
                         self.process_dmard_completions(eng).await
@@ -167,7 +167,7 @@ impl Fw {
                 } else {
                     let d = *m.dmawr(eng);
                     if peek_work(ctx, d.done, d.claim).await {
-                        if self.fw_fault_fires() {
+                        if self.fw_fault_fires().await {
                             return self.fw_fault_abort().await;
                         }
                         self.process_dmawr_completions(eng, host).await

@@ -263,11 +263,15 @@ pub struct Fw {
 
 impl Fw {
     /// Draw the per-core instruction-fault site, if armed. Draw-free
-    /// when unarmed or when the fire probability is zero.
-    pub fn fw_fault_fires(&self) -> bool {
-        self.fw_faults
-            .as_ref()
-            .is_some_and(|f| f.borrow_mut().fires())
+    /// when unarmed or when the fire probability is zero. An armed site
+    /// first waits for the core to charge every queued op, so each draw
+    /// happens at the cycle the preceding op completes.
+    pub async fn fw_fault_fires(&self) -> bool {
+        let Some(faults) = self.fw_faults.as_ref() else {
+            return false;
+        };
+        self.ctx.drain().await;
+        faults.borrow_mut().fires()
     }
 }
 

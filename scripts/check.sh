@@ -28,6 +28,13 @@ echo "==> kernel equivalence (release: dense vs event vs parallel, both dispatch
 # dense, event, and domain-parallel kernels.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 
+echo "==> hot-path reference models (release)"
+# The same reason as above: the per-cycle fast paths (mask crossbar
+# arbitration, the division-free fetch walk, the firmware op queue)
+# must match their straightforward reference forms in the optimized
+# build too.
+cargo test --release --quiet --test reference_models
+
 echo "==> sysdef smoke (non-default topologies end-to-end, ~3 s)"
 # Drives declaratively composed non-default topologies through the
 # experiment engine: archsweep recomposes the SoC per point (crossbar

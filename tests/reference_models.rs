@@ -435,3 +435,241 @@ fn fetch_walk_matches_division_reference_on_odd_geometries() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Firmware op queue: one-op-per-poll reference.
+// ---------------------------------------------------------------------
+
+/// Scratchpad words the random programs lock (never touched otherwise,
+/// so no program deadlocks on a word it set itself).
+const LOCKS: [u32; 2] = [0, 4];
+/// First data byte address; data words are 16 above it.
+const DATA: u32 = 16;
+
+/// One step of a random firmware program.
+#[derive(Debug, Clone, Copy)]
+enum FwStep {
+    Func(FwFunc),
+    Alu(u32),
+    /// `alu(acc % 4)`: an op count that depends on loaded values.
+    AluAcc,
+    Branch,
+    BranchMiss,
+    Load(u32),
+    Store(u32, u32),
+    TestAndSet(u32),
+    SetBit(u32, u32),
+    Update(u32, u32),
+    Lock(u32),
+    Unlock(u32),
+    /// `try_lock`, and `unlock` if it was acquired.
+    TryLock(u32),
+    Wfi,
+}
+
+fn random_func(rng: &mut Rng) -> FwFunc {
+    FwFunc::ALL[rng.range(0, FwFunc::ALL.len() as u64) as usize]
+}
+
+fn data_addr(rng: &mut Rng) -> u32 {
+    DATA + rng.range(0, 16) as u32 * 4
+}
+
+/// An op the program runs without suspending (its API returns `()`).
+fn unit_step(rng: &mut Rng) -> FwStep {
+    match rng.range(0, 7) {
+        0 => FwStep::Alu(rng.range(0, 12) as u32),
+        1 => FwStep::Branch,
+        2 => FwStep::BranchMiss,
+        3 | 4 => FwStep::Store(data_addr(rng), rng.next() as u32),
+        5 => FwStep::SetBit(DATA, rng.range(0, 64) as u32),
+        _ => FwStep::Wfi,
+    }
+}
+
+/// An op outside lock sections: any unit op, a value op, or a retag.
+fn free_step(rng: &mut Rng) -> FwStep {
+    match rng.range(0, 10) {
+        0 => FwStep::Func(random_func(rng)),
+        1 | 2 => FwStep::Load(data_addr(rng)),
+        3 => FwStep::TestAndSet(data_addr(rng)),
+        4 => FwStep::Update(DATA, rng.range(0, 64) as u32),
+        5 => FwStep::AluAcc,
+        _ => unit_step(rng),
+    }
+}
+
+/// A random program of about `len` steps. Retags land between queued
+/// ops; unit-op runs outlast the ring; lock sections hold no other lock;
+/// half the programs end in a run of unit ops.
+fn random_fw_program(rng: &mut Rng, len: usize) -> Vec<FwStep> {
+    let wfi_ok = rng.chance(50);
+    let mut steps = Vec::new();
+    while steps.len() < len {
+        match rng.range(0, 10) {
+            0 => {
+                // A run of unit ops, often longer than the ring.
+                for _ in 0..rng.range(1, 3 * nicsim_cpu::RING_DEPTH as u64) {
+                    steps.push(unit_step(rng));
+                    if rng.chance(20) {
+                        steps.push(FwStep::Func(random_func(rng)));
+                    }
+                }
+            }
+            1 => {
+                let lock = LOCKS[rng.range(0, 2) as usize];
+                steps.push(FwStep::Lock(lock));
+                for _ in 0..rng.range(0, 6) {
+                    steps.push(free_step(rng));
+                }
+                steps.push(FwStep::Unlock(lock));
+            }
+            2 => steps.push(FwStep::TryLock(LOCKS[rng.range(0, 2) as usize])),
+            _ => steps.push(free_step(rng)),
+        }
+    }
+    if rng.chance(50) {
+        for _ in 0..rng.range(1, 2 * nicsim_cpu::RING_DEPTH as u64) {
+            steps.push(unit_step(rng));
+        }
+    }
+    if !wfi_ok {
+        steps.retain(|s| !matches!(s, FwStep::Wfi));
+    }
+    steps
+}
+
+/// Run `steps` on `ctx`. With `one_op_per_poll`, every step first waits
+/// for the engine to charge all queued ops: the firmware never runs
+/// ahead, which is the hand-off protocol the op queue replaced.
+async fn run_fw_program(ctx: CoreCtx, steps: Vec<FwStep>, one_op_per_poll: bool) {
+    let mut acc = 0u32;
+    for step in steps {
+        if one_op_per_poll {
+            ctx.drain().await;
+        }
+        match step {
+            FwStep::Func(f) => {
+                ctx.set_func(f);
+            }
+            FwStep::Alu(n) => ctx.alu(n).await,
+            FwStep::AluAcc => ctx.alu(acc % 4).await,
+            FwStep::Branch => ctx.branch().await,
+            FwStep::BranchMiss => ctx.branch_miss().await,
+            FwStep::Load(a) => acc = acc.rotate_left(5) ^ ctx.load(a).await,
+            FwStep::Store(a, v) => ctx.store(a, v ^ acc).await,
+            FwStep::TestAndSet(a) => acc ^= ctx.test_and_set(a).await,
+            FwStep::SetBit(base, bit) => ctx.set_bit(base, bit).await,
+            FwStep::Update(base, bit) => acc = acc.wrapping_add(ctx.update(base, bit).await),
+            FwStep::Lock(a) => ctx.lock(a).await,
+            FwStep::Unlock(a) => ctx.unlock(a).await,
+            FwStep::TryLock(a) => {
+                if ctx.try_lock(a).await {
+                    ctx.unlock(a).await;
+                }
+            }
+            FwStep::Wfi => ctx.wfi().await,
+        }
+    }
+}
+
+/// Everything observable about one run of a set of programs.
+#[derive(Debug, PartialEq)]
+struct FwRun {
+    profiles: Vec<nicsim_cpu::CoreProfile>,
+    /// Engine stats with `polls` moved out: the two protocols differ there.
+    stats: Vec<nicsim_cpu::engine::CoreEngineStats>,
+    halt_ticks: Vec<Option<u64>>,
+    events: Vec<Event>,
+    words: Vec<u32>,
+}
+
+/// Run one program per core to completion; `wake_seed` draws the ticks
+/// at which each core's wake line is raised. Returns the run and the
+/// total polls of the firmware futures.
+fn run_fw(programs: &[Vec<FwStep>], one_op_per_poll: bool, wake_seed: u64) -> (FwRun, u64) {
+    const SP_BYTES: usize = 256;
+    let n = programs.len();
+    let mut cores: Vec<Core> = (0..n)
+        .map(|i| Core::new(i, ICacheConfig::default(), CodeLayout::new()))
+        .collect();
+    for (i, core) in cores.iter_mut().enumerate() {
+        let ctx = CoreCtx::new(core.slot(), i);
+        core.install(run_fw_program(ctx, programs[i].clone(), one_op_per_poll));
+    }
+    let mut xbar = Crossbar::new(n, 4);
+    let mut sp = Scratchpad::new(SP_BYTES, 4);
+    let mut imem = InstrMemory::new();
+    let mut log = EventLog::new();
+    let mut wakes = Rng::new(wake_seed);
+    let mut halt_ticks = vec![None; n];
+    let mut tick = 0;
+    while cores.iter().any(|c| !c.halted()) {
+        assert!(tick < 1_000_000, "programs did not halt");
+        for core in cores.iter_mut() {
+            if wakes.chance(4) {
+                core.raise_wake();
+            }
+        }
+        let now = Ps(tick);
+        xbar.tick_probed(&mut sp, now, &mut log);
+        for (i, core) in cores.iter_mut().enumerate() {
+            core.tick_probed(&mut xbar.port(i), &mut imem, now, &mut log);
+            if core.halted() && halt_ticks[i].is_none() {
+                halt_ticks[i] = Some(tick);
+            }
+        }
+        tick += 1;
+    }
+    let polls = cores.iter().map(|c| c.engine_stats().polls).sum();
+    let run = FwRun {
+        profiles: cores.iter().map(|c| c.profile().clone()).collect(),
+        stats: cores
+            .iter()
+            .map(|c| nicsim_cpu::engine::CoreEngineStats {
+                polls: 0,
+                ..c.engine_stats()
+            })
+            .collect(),
+        halt_ticks,
+        events: log.events().to_vec(),
+        words: (0..SP_BYTES as u32)
+            .step_by(4)
+            .map(|a| sp.peek(a))
+            .collect(),
+    };
+    (run, polls)
+}
+
+/// Random programs on 1 and 2 cores give the same profiles, engine
+/// stats, probe streams (handler entries, I-cache accesses, scratchpad
+/// grants and conflicts), memory and halt ticks whether the firmware
+/// queues unit ops ahead of the engine or waits for each op.
+#[test]
+fn op_queue_matches_one_op_per_poll_reference() {
+    let mut rng = Rng::new(0x0a4b_1e7e_0004);
+    for case in 0..48 {
+        let cores = 1 + case % 2;
+        let programs: Vec<_> = (0..cores)
+            .map(|_| {
+                let len = rng.range(20, 400) as usize;
+                random_fw_program(&mut rng, len)
+            })
+            .collect();
+        let wake_seed = rng.next();
+        let (queued, queued_polls) = run_fw(&programs, false, wake_seed);
+        let (reference, reference_polls) = run_fw(&programs, true, wake_seed);
+        assert_eq!(queued.profiles, reference.profiles, "profiles, case {case}");
+        assert_eq!(queued.stats, reference.stats, "engine stats, case {case}");
+        assert_eq!(
+            queued.halt_ticks, reference.halt_ticks,
+            "halt ticks, case {case}"
+        );
+        assert_eq!(queued.events, reference.events, "probe stream, case {case}");
+        assert_eq!(queued.words, reference.words, "scratchpad, case {case}");
+        assert!(
+            queued_polls < reference_polls,
+            "queued ops save polls: {queued_polls} vs {reference_polls}, case {case}"
+        );
+    }
+}
