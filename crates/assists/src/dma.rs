@@ -18,8 +18,8 @@ use crate::cmd::{DmaCmd, DMA_CMD_WORDS};
 use crate::port::SpPort;
 use nicsim_fault::{CmdOutcome, DmaFaults};
 use nicsim_host::HostMemory;
-use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId, XbarPort};
-use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
+use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
+use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::{NextEvent, Ps};
 
 const TAG_CMD0: u32 = 1; // ..=4 for the four command words
@@ -153,11 +153,6 @@ impl DmaRead {
         }
     }
 
-    /// The crossbar port this engine owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Scratchpad accesses performed (Table 4 accounting).
     pub fn sp_accesses(&self) -> u64 {
         self.sp.accesses()
@@ -184,13 +179,9 @@ impl DmaRead {
         self.faults.as_mut()
     }
 
-    /// A frame-memory burst tagged `tag` completed.
-    pub fn on_sdram_complete(&mut self, tag: u64) {
-        self.on_sdram_complete_probed(tag, Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaRead::on_sdram_complete`].
-    pub fn on_sdram_complete_probed<P: Probe>(&mut self, tag: u64, now: Ps, probe: &mut P) {
+    /// A frame-memory burst tagged `tag` completed; emits
+    /// [`Event::DmaDone`].
+    pub fn on_sdram_complete<P: Probe>(&mut self, tag: u64, now: Ps, probe: &mut P) {
         self.sdram_outstanding -= 1;
         self.tracker.complete(tag as u32);
         if P::ENABLED {
@@ -338,27 +329,14 @@ impl DmaRead {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
+    /// Advance one CPU cycle: emits [`Event::DmaStart`] when a command
+    /// begins moving data and [`Event::DmaDone`] when a
+    /// scratchpad-destination copy retires (frame-memory completions are
+    /// reported through [`DmaRead::on_sdram_complete`]).
+    pub fn tick<P: Probe>(
         &mut self,
         now: Ps,
         xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        host: &HostMemory,
-        fm: &mut FrameMemory,
-    ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, host, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaRead::tick`]: emits [`Event::DmaStart`]
-    /// when a command begins moving data and [`Event::DmaDone`] when a
-    /// scratchpad-destination copy retires (frame-memory completions are
-    /// reported through [`DmaRead::on_sdram_complete_probed`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
-        &mut self,
-        now: Ps,
-        xbar: &mut X,
         sp_mem: &Scratchpad,
         host: &HostMemory,
         fm: &mut FrameMemory,
@@ -496,11 +474,6 @@ impl DmaWrite {
         }
     }
 
-    /// The crossbar port this engine owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Scratchpad accesses performed.
     pub fn sp_accesses(&self) -> u64 {
         self.sp.accesses()
@@ -527,12 +500,7 @@ impl DmaWrite {
     }
 
     /// A frame-memory read burst completed; write its data to the host.
-    pub fn on_sdram_complete(&mut self, tag: u64, data: &[u8], host: &mut HostMemory) {
-        self.on_sdram_complete_probed(tag, data, host, Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaWrite::on_sdram_complete`].
-    pub fn on_sdram_complete_probed<P: Probe>(
+    pub fn on_sdram_complete<P: Probe>(
         &mut self,
         tag: u64,
         data: &[u8],
@@ -713,27 +681,14 @@ impl DmaWrite {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
+    /// Advance one CPU cycle: emits [`Event::DmaStart`] when a command
+    /// begins and [`Event::DmaDone`] when an immediate or
+    /// scratchpad-source command retires (frame-memory completions are
+    /// reported through [`DmaWrite::on_sdram_complete`]).
+    pub fn tick<P: Probe>(
         &mut self,
         now: Ps,
         xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        host: &mut HostMemory,
-        fm: &mut FrameMemory,
-    ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, host, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaWrite::tick`]: emits [`Event::DmaStart`]
-    /// when a command begins and [`Event::DmaDone`] when an immediate or
-    /// scratchpad-source command retires (frame-memory completions are
-    /// reported through [`DmaWrite::on_sdram_complete_probed`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
-        &mut self,
-        now: Ps,
-        xbar: &mut X,
         sp_mem: &Scratchpad,
         host: &mut HostMemory,
         fm: &mut FrameMemory,
@@ -830,6 +785,7 @@ mod tests {
     use super::*;
     use crate::cmd::{FLAG_IMM, FLAG_SP};
     use nicsim_mem::FrameMemoryConfig;
+    use nicsim_obs::NullProbe;
 
     struct Rig {
         sp: Scratchpad,
@@ -889,9 +845,16 @@ mod tests {
         for _ in 0..100 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
+                eng.on_sdram_complete(c.tag, c.at, &mut NullProbe);
             }
         }
         assert_eq!(rig.sp.peek(0x2000), 0x0403_0201);
@@ -920,9 +883,16 @@ mod tests {
         for _ in 0..200 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
+                eng.on_sdram_complete(c.tag, c.at, &mut NullProbe);
             }
         }
         assert_eq!(rig.fm.peek(0x4000, 200), &payload[..]);
@@ -964,10 +934,23 @@ mod tests {
         for _ in 0..200 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &mut rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             let comps = rig.fm.advance(rig.now);
             for c in comps {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
+                eng.on_sdram_complete(
+                    c.tag,
+                    c.data.as_deref().unwrap(),
+                    &mut rig.host,
+                    c.at,
+                    &mut NullProbe,
+                );
             }
         }
         assert_eq!(rig.host.read_u32(0x900), 0xabcd);
@@ -1000,10 +983,23 @@ mod tests {
         for _ in 0..400 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &mut rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             let comps = rig.fm.advance(rig.now);
             for c in comps {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
+                eng.on_sdram_complete(
+                    c.tag,
+                    c.data.as_deref().unwrap(),
+                    &mut rig.host,
+                    c.at,
+                    &mut NullProbe,
+                );
             }
         }
         assert_eq!(rig.host.read(0xa000, 1518), &frame[..]);
@@ -1043,9 +1039,16 @@ mod tests {
         for _ in 0..400 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
+                eng.on_sdram_complete(c.tag, c.at, &mut NullProbe);
             }
         }
         assert_eq!(rig.sp.peek(0x104), 1, "aborted command still retires");
@@ -1089,9 +1092,22 @@ mod tests {
         for _ in 0..600 {
             rig.now += Ps(5000);
             rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
+            eng.tick(
+                rig.now,
+                &mut rig.xbar,
+                &rig.sp,
+                &mut rig.host,
+                &mut rig.fm,
+                &mut NullProbe,
+            );
             for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
+                eng.on_sdram_complete(
+                    c.tag,
+                    c.data.as_deref().unwrap(),
+                    &mut rig.host,
+                    c.at,
+                    &mut NullProbe,
+                );
             }
         }
         assert_eq!(rig.host.read(0xa000, 600), &frame[..], "stalled, not lost");

@@ -15,10 +15,10 @@
 
 use crate::port::SpPort;
 use nicsim_fault::LinkFault;
-use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId, XbarPort};
+use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_net::frame::fcs_valid;
 use nicsim_net::link::{wire_time, RxGenerator, TxMonitor};
-use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
+use nicsim_obs::{Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::{NextEvent, Ps};
 use std::collections::VecDeque;
 
@@ -121,11 +121,6 @@ impl MacTx {
         std::mem::take(self.egress.as_mut().expect("egress capture enabled"))
     }
 
-    /// The crossbar port this MAC owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Frames fully transmitted.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
@@ -144,16 +139,10 @@ impl MacTx {
 
     /// A frame-memory read completed: the frame goes on the wire.
     /// Reads complete in ring order (per-stream FIFO), preserving the
-    /// in-order transmit guarantee.
-    pub fn on_sdram_complete(&mut self, now: Ps, data: &[u8]) {
-        self.on_sdram_complete_probed(now, data, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacTx::on_sdram_complete`]: emits
-    /// [`Event::MacTxWireStart`] at the moment the frame starts
-    /// occupying the wire (which may be later than `now` when the wire
-    /// is busy).
-    pub fn on_sdram_complete_probed<P: Probe>(&mut self, now: Ps, data: &[u8], probe: &mut P) {
+    /// in-order transmit guarantee. Emits [`Event::MacTxWireStart`] at
+    /// the moment the frame starts occupying the wire (which may be
+    /// later than `now` when the wire is busy).
+    pub fn on_sdram_complete<P: Probe>(&mut self, now: Ps, data: &[u8], probe: &mut P) {
         self.reads_outstanding -= 1;
         let mut frame = data.to_vec();
         frame.extend_from_slice(&[0u8; 4]); // MAC appends the FCS
@@ -171,26 +160,14 @@ impl MacTx {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
+    /// Advance one CPU cycle: emits [`Event::MacTxFetch`] when a ring
+    /// entry has been read (the entry's fourth word is the frame
+    /// sequence number the firmware stored there) and
+    /// [`Event::MacTxWireDone`] as each frame leaves the wire.
+    pub fn tick<P: Probe>(
         &mut self,
         now: Ps,
         xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        fm: &mut FrameMemory,
-    ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacTx::tick`]: emits [`Event::MacTxFetch`]
-    /// when a ring entry has been read (the entry's fourth word is the
-    /// frame sequence number the firmware stored there) and
-    /// [`Event::MacTxWireDone`] as each frame leaves the wire.
-    pub fn tick_probed<X: XbarPort, P: Probe>(
-        &mut self,
-        now: Ps,
-        xbar: &mut X,
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
         probe: &mut P,
@@ -396,11 +373,6 @@ impl MacRx {
         }
     }
 
-    /// The crossbar port this MAC owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Frames dropped because the descriptor ring or buffer was full.
     pub fn drops(&self) -> u64 {
         self.drops
@@ -435,14 +407,9 @@ impl MacRx {
     }
 
     /// An SDRAM write completed: the frame is visible, produce its
-    /// descriptor (writes complete in arrival order).
-    pub fn on_sdram_complete(&mut self) {
-        self.on_sdram_complete_probed(Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacRx::on_sdram_complete`]: emits
+    /// descriptor (writes complete in arrival order). Emits
     /// [`Event::MacRxDescPublish`] as each descriptor is produced.
-    pub fn on_sdram_complete_probed<P: Probe>(&mut self, now: Ps, probe: &mut P) {
+    pub fn on_sdram_complete<P: Probe>(&mut self, now: Ps, probe: &mut P) {
         self.writes_outstanding -= 1;
         // Writes complete in submission order: retire the oldest one.
         self.pending_desc
@@ -487,24 +454,12 @@ impl MacRx {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
+    /// Advance one CPU cycle: emits [`Event::MacRxArrival`] for every
+    /// frame taken off the wire, accepted or dropped.
+    pub fn tick<P: Probe>(
         &mut self,
         now: Ps,
         xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        fm: &mut FrameMemory,
-    ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacRx::tick`]: emits [`Event::MacRxArrival`]
-    /// for every frame taken off the wire, accepted or dropped.
-    pub fn tick_probed<X: XbarPort, P: Probe>(
-        &mut self,
-        now: Ps,
-        xbar: &mut X,
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
         probe: &mut P,
@@ -655,6 +610,7 @@ mod tests {
     use super::*;
     use nicsim_mem::FrameMemoryConfig;
     use nicsim_net::frame::build_udp_frame;
+    use nicsim_obs::NullProbe;
 
     fn fm() -> FrameMemory {
         FrameMemory::new(FrameMemoryConfig::default())
@@ -689,9 +645,9 @@ mod tests {
         for _ in 0..2000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
+            mac.tick(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for c in fmem.advance(now) {
-                mac.on_sdram_complete(c.at, c.data.as_deref().unwrap());
+                mac.on_sdram_complete(c.at, c.data.as_deref().unwrap(), &mut NullProbe);
             }
         }
         assert_eq!(mac.frames_sent(), 2);
@@ -723,9 +679,9 @@ mod tests {
         for _ in 0..3000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
-            for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+            mac.tick(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
+            for c in fmem.advance(now) {
+                mac.on_sdram_complete(c.at, &mut NullProbe);
             }
             if sp.peek(0x200) >= 3 {
                 break;
@@ -766,9 +722,9 @@ mod tests {
         for _ in 0..5000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
-            for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+            mac.tick(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
+            for c in fmem.advance(now) {
+                mac.on_sdram_complete(c.at, &mut NullProbe);
             }
         }
         assert!(mac.drops() > 0, "overrun must drop");
@@ -805,9 +761,9 @@ mod tests {
         for _ in 0..3000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
-            for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+            mac.tick(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
+            for c in fmem.advance(now) {
+                mac.on_sdram_complete(c.at, &mut NullProbe);
             }
             if sp.peek(0x200) >= 3 {
                 break;

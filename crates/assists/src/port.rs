@@ -5,7 +5,7 @@
 //! and issues them in order, returning each completion (tagged by the
 //! assist) as it arrives.
 
-use nicsim_mem::{SpRequest, XbarPort};
+use nicsim_mem::{Crossbar, SpRequest};
 use std::collections::VecDeque;
 
 /// A FIFO scratchpad-access port for a hardware assist.
@@ -26,11 +26,6 @@ impl SpPort {
             inflight: None,
             accesses: 0,
         }
-    }
-
-    /// The crossbar requester index.
-    pub fn port(&self) -> usize {
-        self.port
     }
 
     /// Enqueue a transaction with an assist-defined tag.
@@ -54,22 +49,26 @@ impl SpPort {
         self.accesses = 0;
     }
 
-    /// Advance one cycle: collect the completed transaction (if any) and
-    /// issue the next queued one. Returns `(tag, response)` on
-    /// completion. Generic over the crossbar port view so assists run
-    /// against both the sequential and domain-parallel kernels.
-    pub fn tick<X: XbarPort>(&mut self, xbar: &mut X) -> Option<(u32, u32)> {
+    /// Advance one cycle on this port of `xbar`: collect the completed
+    /// transaction (if any) and issue the next queued one. Returns
+    /// `(tag, response)` on completion.
+    ///
+    /// Called every cycle from the assists' ticks, which are
+    /// instantiated in the system crate; the hint lets the call inline
+    /// across crates.
+    #[inline]
+    pub fn tick(&mut self, xbar: &mut Crossbar) -> Option<(u32, u32)> {
         let mut done = None;
         if let Some(tag) = self.inflight {
-            if let Some(v) = xbar.take_response() {
+            if let Some(v) = xbar.take_response(self.port) {
                 self.inflight = None;
                 self.accesses += 1;
                 done = Some((tag, v));
             }
         }
-        if self.inflight.is_none() && xbar.idle() {
+        if self.inflight.is_none() && xbar.port_idle(self.port) {
             if let Some((req, tag)) = self.queue.pop_front() {
-                xbar.submit(req);
+                xbar.submit(self.port, req);
                 self.inflight = Some(tag);
             }
         }
@@ -80,7 +79,7 @@ impl SpPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nicsim_mem::{Crossbar, Scratchpad, SpOp};
+    use nicsim_mem::{Scratchpad, SpOp};
 
     #[test]
     fn fifo_order_preserved() {
@@ -99,7 +98,7 @@ mod tests {
         let mut tags = Vec::new();
         for _ in 0..40 {
             xbar.tick(&mut sp);
-            if let Some((tag, _)) = port.tick(&mut xbar.port(0)) {
+            if let Some((tag, _)) = port.tick(&mut xbar) {
                 tags.push(tag);
             }
         }
@@ -127,7 +126,7 @@ mod tests {
         let mut got = None;
         for _ in 0..10 {
             xbar.tick(&mut sp);
-            if let Some(r) = port.tick(&mut xbar.port(0)) {
+            if let Some(r) = port.tick(&mut xbar) {
                 got = Some(r);
             }
         }

@@ -32,9 +32,7 @@
 //! ([`ClockDomain`]): cores, scratchpad banks, and the instruction
 //! memory are `Cpu`; DMA engines and the frame memory are `Sdram`
 //! (frame-bus side); MACs are `Wire`; the host bridge (driver + host
-//! memory) is `Host`. The domain-parallel kernel derives its thread
-//! split from this: the worker owns every non-`Cpu`, non-`Host`
-//! component ([`ComponentDef::frame_side`]), the main thread the rest.
+//! memory) is `Host`.
 
 use crate::config::{NicConfig, Topology};
 use nicsim_sim::ClockDomain;
@@ -85,9 +83,9 @@ pub enum ComponentKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attachment {
     /// A requester port on the scratchpad crossbar.
-    XbarPort(usize),
+    CrossbarPort(usize),
     /// A responder (bank) side of the crossbar.
-    XbarBank(usize),
+    CrossbarBank(usize),
     /// The frame bus (shared per-stream queues into the SDRAM).
     FrameBus,
     /// The host bus (PCI in the paper).
@@ -104,19 +102,10 @@ pub struct ComponentDef {
     pub name: String,
     /// What to construct.
     pub kind: ComponentKind,
-    /// Clock domain membership; the parallel kernel's thread split is
-    /// derived from this.
+    /// Clock domain membership.
     pub domain: ClockDomain,
     /// Interconnect attachment.
     pub attachment: Attachment,
-}
-
-impl ComponentDef {
-    /// Whether the domain-parallel kernel's worker thread owns this
-    /// component: everything outside the `Cpu` and `Host` domains.
-    pub fn frame_side(&self) -> bool {
-        !matches!(self.domain, ClockDomain::Cpu | ClockDomain::Host)
-    }
 }
 
 /// The declarative SoC definition the system builder assembles from.
@@ -146,7 +135,7 @@ impl SysDef {
                 name: format!("core{id}"),
                 kind: ComponentKind::Core { id },
                 domain: ClockDomain::Cpu,
-                attachment: Attachment::XbarPort(id),
+                attachment: Attachment::CrossbarPort(id),
             });
         }
         for id in 0..banks {
@@ -154,7 +143,7 @@ impl SysDef {
                 name: format!("bank{id}"),
                 kind: ComponentKind::ScratchpadBank { id },
                 domain: ClockDomain::Cpu,
-                attachment: Attachment::XbarBank(id),
+                attachment: Attachment::CrossbarBank(id),
             });
         }
         components.push(ComponentDef {
@@ -169,7 +158,7 @@ impl SysDef {
                 name: format!("dmard{engine}"),
                 kind: ComponentKind::DmaRead { engine },
                 domain: ClockDomain::Sdram,
-                attachment: Attachment::XbarPort(port),
+                attachment: Attachment::CrossbarPort(port),
             });
             port += 1;
         }
@@ -178,7 +167,7 @@ impl SysDef {
                 name: format!("dmawr{engine}"),
                 kind: ComponentKind::DmaWrite { engine },
                 domain: ClockDomain::Sdram,
-                attachment: Attachment::XbarPort(port),
+                attachment: Attachment::CrossbarPort(port),
             });
             port += 1;
         }
@@ -187,7 +176,7 @@ impl SysDef {
                 name: format!("mactx{mac}"),
                 kind: ComponentKind::MacTx { mac },
                 domain: ClockDomain::Wire,
-                attachment: Attachment::XbarPort(port),
+                attachment: Attachment::CrossbarPort(port),
             });
             port += 1;
         }
@@ -196,7 +185,7 @@ impl SysDef {
                 name: format!("macrx{mac}"),
                 kind: ComponentKind::MacRx { mac },
                 domain: ClockDomain::Wire,
-                attachment: Attachment::XbarPort(port),
+                attachment: Attachment::CrossbarPort(port),
             });
             port += 1;
         }
@@ -239,21 +228,21 @@ impl SysDef {
         use ComponentKind::*;
         let mut components = Vec::new();
         for id in 0..6 {
-            components.push(mk(&format!("core{id}"), Core { id }, Cpu, XbarPort(id)));
+            components.push(mk(&format!("core{id}"), Core { id }, Cpu, CrossbarPort(id)));
         }
         for id in 0..4 {
             components.push(mk(
                 &format!("bank{id}"),
                 ScratchpadBank { id },
                 Cpu,
-                XbarBank(id),
+                CrossbarBank(id),
             ));
         }
         components.push(mk("imem", InstrMemory, Cpu, Attachment::None));
-        components.push(mk("dmard0", DmaRead { engine: 0 }, Sdram, XbarPort(6)));
-        components.push(mk("dmawr0", DmaWrite { engine: 0 }, Sdram, XbarPort(7)));
-        components.push(mk("mactx0", MacTx { mac: 0 }, Wire, XbarPort(8)));
-        components.push(mk("macrx0", MacRx { mac: 0 }, Wire, XbarPort(9)));
+        components.push(mk("dmard0", DmaRead { engine: 0 }, Sdram, CrossbarPort(6)));
+        components.push(mk("dmawr0", DmaWrite { engine: 0 }, Sdram, CrossbarPort(7)));
+        components.push(mk("mactx0", MacTx { mac: 0 }, Wire, CrossbarPort(8)));
+        components.push(mk("macrx0", MacRx { mac: 0 }, Wire, CrossbarPort(9)));
         components.push(mk("fm", FrameMemory, Sdram, FrameBus));
         components.push(mk("host", HostBridge, Host, HostBus));
         SysDef {
@@ -288,7 +277,7 @@ impl SysDef {
     /// Crossbar port of a component kind, if it has one.
     pub fn port_of(&self, kind: ComponentKind) -> Option<usize> {
         self.components.iter().find_map(|c| match c.attachment {
-            Attachment::XbarPort(p) if c.kind == kind => Some(p),
+            Attachment::CrossbarPort(p) if c.kind == kind => Some(p),
             _ => None,
         })
     }
@@ -317,16 +306,6 @@ impl SysDef {
             .expect("mac in definition")
     }
 
-    /// Components the domain-parallel kernel's worker thread owns.
-    pub fn frame_side_components(&self) -> impl Iterator<Item = &ComponentDef> {
-        self.components.iter().filter(|c| c.frame_side())
-    }
-
-    /// Components in clock domain `d`.
-    pub fn domain_members(&self, d: ClockDomain) -> impl Iterator<Item = &ComponentDef> + '_ {
-        self.components.iter().filter(move |c| c.domain == d)
-    }
-
     /// Structural consistency: crossbar ports are unique and cover
     /// `0..xbar_ports()`, banks cover `0..n_banks`, and exactly one
     /// frame memory and host bridge exist. The system builder asserts
@@ -337,13 +316,13 @@ impl SysDef {
         let (mut fms, mut hosts) = (0, 0);
         for c in &self.components {
             match c.attachment {
-                Attachment::XbarPort(p) => {
+                Attachment::CrossbarPort(p) => {
                     if p >= ports.len() || ports[p] {
                         return Err(format!("{}: bad or duplicate port {p}", c.name));
                     }
                     ports[p] = true;
                 }
-                Attachment::XbarBank(b) => {
+                Attachment::CrossbarBank(b) => {
                     if b >= banks.len() || banks[b] {
                         return Err(format!("{}: bad or duplicate bank {b}", c.name));
                     }
@@ -410,14 +389,5 @@ mod tests {
             assert_eq!(d.mactx_port(0), cores + 2 * dma);
             assert_eq!(d.macrx_port(0), cores + 2 * dma + macs);
         }
-    }
-
-    #[test]
-    fn frame_side_membership_is_derived_from_domains() {
-        let d = SysDef::from_config(&NicConfig::default());
-        let frame: Vec<&str> = d.frame_side_components().map(|c| c.name.as_str()).collect();
-        assert_eq!(frame, ["dmard0", "dmawr0", "mactx0", "macrx0", "fm"]);
-        assert_eq!(d.domain_members(ClockDomain::Cpu).count(), 6 + 4 + 1);
-        assert_eq!(d.domain_members(ClockDomain::Host).count(), 1);
     }
 }

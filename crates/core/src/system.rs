@@ -44,96 +44,69 @@ use nicsim_sim::{Freq, NextEvent, Ps, WakeTracker};
 /// skip decisions are bit-identical. Build a probed system with
 /// [`NicSystem::build`] + [`SystemBuilder::probe`].
 pub struct NicSystem<P: Probe = NullProbe> {
-    pub(crate) probe: P,
-    pub(crate) cfg: NicConfig,
-    pub(crate) sysdef: SysDef,
-    pub(crate) map: MemMap,
-    pub(crate) now: Ps,
-    pub(crate) cpu_period: Ps,
-    pub(crate) sp: Scratchpad,
-    pub(crate) xbar: Crossbar,
-    pub(crate) imem: InstrMemory,
-    pub(crate) fm: FrameMemory,
-    pub(crate) cores: Vec<Core>,
+    probe: P,
+    cfg: NicConfig,
+    sysdef: SysDef,
+    map: MemMap,
+    now: Ps,
+    cpu_period: Ps,
+    sp: Scratchpad,
+    xbar: Crossbar,
+    imem: InstrMemory,
+    fm: FrameMemory,
+    cores: Vec<Core>,
     /// DMA read engines, indexed by engine id (completion tags carry
     /// the id in their high word).
-    pub(crate) dmards: Vec<DmaRead>,
+    dmards: Vec<DmaRead>,
     /// DMA write engines, indexed by engine id.
-    pub(crate) dmawrs: Vec<DmaWrite>,
+    dmawrs: Vec<DmaWrite>,
     /// Transmit MACs, indexed by MAC id (MAC 0 carries traffic).
-    pub(crate) mactxs: Vec<MacTx>,
+    mactxs: Vec<MacTx>,
     /// Receive MACs, indexed by MAC id.
-    pub(crate) macrxs: Vec<MacRx>,
-    pub(crate) host_mem: HostMemory,
-    pub(crate) driver: Driver,
+    macrxs: Vec<MacRx>,
+    host_mem: HostMemory,
+    driver: Driver,
     /// Cycles until the next driver poll (replaces a per-cycle
     /// frequency-division-and-modulo check); `u64::MAX` when the driver
     /// never polls.
-    pub(crate) driver_countdown: u64,
+    driver_countdown: u64,
     /// The driver's last poll changed nothing and the NIC has not
     /// written host memory since, so every poll until the next host
     /// write is a provable no-op: the event kernel elides them and may
     /// skip across poll boundaries. Never set while the driver is
     /// time-sensitive — offered-load pacing, or a fleet schedule with
     /// sends pending — since those act on the clock alone.
-    pub(crate) driver_idle: bool,
+    driver_idle: bool,
     /// Cycles elided by the event-driven kernel (diagnostics).
-    pub(crate) skipped_cycles: u64,
+    skipped_cycles: u64,
     /// Cycles simulated for real by the event-driven kernel.
-    pub(crate) stepped_cycles: u64,
-    pub(crate) window_start: Ps,
-    pub(crate) stopped: bool,
+    stepped_cycles: u64,
+    window_start: Ps,
+    stopped: bool,
     /// Host-memory address the system publishes the cumulative DMA-read
     /// abort count to (`status + 8`); the driver turns the delta into
     /// transmit retries.
-    pub(crate) status_aborts_addr: u32,
+    status_aborts_addr: u32,
     /// Last abort count published to the host status block.
-    pub(crate) aborts_published: u32,
+    aborts_published: u32,
     /// Frame-bus read completions that arrived without data, recovered
     /// by substituting an empty transfer instead of panicking.
-    pub(crate) fm_short_reads: u64,
+    fm_short_reads: u64,
     /// Whether the configured fault plan actually injects anything.
     /// An all-zeros plan keeps this false, and every fault gate in the
     /// hot path keys off it, so `--faults rate=0` costs nothing and is
     /// bit-identical to a clean run (collect() still reports a zeroed
     /// error table, preserving the zero-rate output contract).
-    pub(crate) faults_armed: bool,
+    faults_armed: bool,
     /// Per-core instruction-fault sites, shared with the firmware's
     /// dispatch loops. Empty unless the plan is armed.
-    pub(crate) fw_faults: Vec<std::rc::Rc<std::cell::RefCell<FwFaults>>>,
+    fw_faults: Vec<std::rc::Rc<std::cell::RefCell<FwFaults>>>,
     /// Error counters inherited from a previous incarnation of this NIC
     /// (fleet crash/reset lifecycle): the fleet engine folds the dead
     /// system's error table — plus the reset itself and the frames it
     /// lost — into its replacement, so per-NIC error accounting survives
     /// the reset. Merged into [`NicSystem::collect`]'s error table.
-    pub(crate) carried_errors: Option<ErrorStats>,
-    /// Domain-parallel kernel sync accounting: barrier rendezvous
-    /// opened, lookahead batches among them, cycles covered by batches,
-    /// and stepped cycles executed main-only (frame side provably
-    /// quiet, no barrier touched). Zero outside `run_until_parallel`.
-    pub(crate) sync_stats: ParallelSyncStats,
-}
-
-/// Synchronization accounting for the domain-parallel kernel (see
-/// [`NicSystem::parallel_sync_stats`]). Not part of [`RunStats`]: the
-/// kernels' statistics contract is bit-identity, and how often the
-/// threads met is a property of the kernel, not the simulated NIC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelSyncStats {
-    /// Barrier generations opened (each costs two atomic handshakes).
-    pub rendezvous: u64,
-    /// Rendezvous that opened a lookahead batch (`n_cycles > 1`).
-    pub batches: u64,
-    /// Simulated cycles covered by those batches.
-    pub batched_cycles: u64,
-    /// Stepped cycles run entirely on the main thread because the frame
-    /// side was provably quiet — no rendezvous at all.
-    pub solo_cycles: u64,
-    /// The parallel kernel declined to spawn a worker and ran the
-    /// sequential event kernel instead (single-hardware-thread host, or
-    /// an active fault plan). Results are bit-identical either way;
-    /// the flag records that no parallelism was actually exercised.
-    pub sequential_fallback: bool,
+    carried_errors: Option<ErrorStats>,
 }
 
 /// Staged constructor for [`NicSystem`], the one assembly path for
@@ -428,7 +401,6 @@ impl<P: Probe> SystemBuilder<P> {
             faults_armed,
             fw_faults,
             carried_errors: None,
-            sync_stats: ParallelSyncStats::default(),
         })
     }
 }
@@ -614,7 +586,7 @@ impl<P: Probe> NicSystem<P> {
     /// below is exact ("the tick would change nothing"), so gated and
     /// ungated steps are bit-identical.
     #[inline]
-    pub(crate) fn step_inner(&mut self, gate: bool) {
+    fn step_inner(&mut self, gate: bool) {
         self.now += self.cpu_period;
         let now = self.now;
 
@@ -627,13 +599,7 @@ impl<P: Probe> NicSystem<P> {
             self.xbar.skip_cycles(1);
         }
         for core in &mut self.cores {
-            let id = core.id();
-            core.tick_probed(
-                &mut self.xbar.port(id),
-                &mut self.imem,
-                now,
-                &mut self.probe,
-            );
+            core.tick(&mut self.xbar, &mut self.imem, now, &mut self.probe);
         }
 
         // Frame-side units, in definition order (reads, writes, MAC TX,
@@ -643,10 +609,9 @@ impl<P: Probe> NicSystem<P> {
         // act at their next timed event (wire completion, arrival).
         for d in &mut self.dmards {
             if !gate || d.busy(&self.sp) {
-                let p = d.port();
-                d.tick_probed(
+                d.tick(
                     now,
-                    &mut self.xbar.port(p),
+                    &mut self.xbar,
                     &self.sp,
                     &self.host_mem,
                     &mut self.fm,
@@ -656,10 +621,9 @@ impl<P: Probe> NicSystem<P> {
         }
         for d in &mut self.dmawrs {
             if !gate || d.busy(&self.sp) {
-                let p = d.port();
-                d.tick_probed(
+                d.tick(
                     now,
-                    &mut self.xbar.port(p),
+                    &mut self.xbar,
                     &self.sp,
                     &mut self.host_mem,
                     &mut self.fm,
@@ -673,26 +637,12 @@ impl<P: Probe> NicSystem<P> {
         }
         for m in &mut self.mactxs {
             if !gate || m.busy(&self.sp) || m.next_event() <= now {
-                let p = m.port();
-                m.tick_probed(
-                    now,
-                    &mut self.xbar.port(p),
-                    &self.sp,
-                    &mut self.fm,
-                    &mut self.probe,
-                );
+                m.tick(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
             }
         }
         for m in &mut self.macrxs {
             if !gate || m.busy() || m.next_event() <= now {
-                let p = m.port();
-                m.tick_probed(
-                    now,
-                    &mut self.xbar.port(p),
-                    &self.sp,
-                    &mut self.fm,
-                    &mut self.probe,
-                );
+                m.tick(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
             }
         }
 
@@ -712,14 +662,17 @@ impl<P: Probe> NicSystem<P> {
         if !gate || self.fm.next_event() <= now {
             for c in self.fm.advance_probed(now, &mut self.probe) {
                 match c.stream {
-                    StreamId::DmaRead => self.dmards[dma_tag_engine(c.tag)]
-                        .on_sdram_complete_probed(c.tag, c.at, &mut self.probe),
+                    StreamId::DmaRead => self.dmards[dma_tag_engine(c.tag)].on_sdram_complete(
+                        c.tag,
+                        c.at,
+                        &mut self.probe,
+                    ),
                     StreamId::DmaWrite => {
                         let data = match c.data.as_deref() {
                             Some(d) => d,
                             None => self.on_short_read(c.at),
                         };
-                        self.dmawrs[dma_tag_engine(c.tag)].on_sdram_complete_probed(
+                        self.dmawrs[dma_tag_engine(c.tag)].on_sdram_complete(
                             c.tag,
                             data,
                             &mut self.host_mem,
@@ -733,14 +686,10 @@ impl<P: Probe> NicSystem<P> {
                             Some(d) => d,
                             None => self.on_short_read(c.at),
                         };
-                        self.mactxs[c.tag as usize].on_sdram_complete_probed(
-                            c.at,
-                            data,
-                            &mut self.probe,
-                        )
+                        self.mactxs[c.tag as usize].on_sdram_complete(c.at, data, &mut self.probe)
                     }
                     StreamId::MacRx => {
-                        self.macrxs[c.tag as usize].on_sdram_complete_probed(c.at, &mut self.probe)
+                        self.macrxs[c.tag as usize].on_sdram_complete(c.at, &mut self.probe)
                     }
                 }
             }
@@ -754,9 +703,7 @@ impl<P: Probe> NicSystem<P> {
             if self.driver_countdown == 0 {
                 self.driver_countdown = self.cfg.driver_interval;
                 if !gate || !self.driver_idle {
-                    let acted = self
-                        .driver
-                        .tick_probed(now, &mut self.host_mem, &mut self.probe);
+                    let acted = self.driver.tick(now, &mut self.host_mem, &mut self.probe);
                     // A time-sensitive driver (offered-load pacing, or a
                     // fleet schedule with sends still pending) may act on
                     // a later poll with no external write in between, so
@@ -902,7 +849,7 @@ impl<P: Probe> NicSystem<P> {
     /// Every bound here is a lower bound on the component's next state
     /// change (the [`NextEvent`] contract), so skipping `n - 1` cycles
     /// and simulating the `n`-th is bit-identical to ticking densely.
-    pub(crate) fn wake_cycles(&self) -> u64 {
+    fn wake_cycles(&self) -> u64 {
         // An ungranted request keeps the crossbar arbitration hot:
         // simulate every cycle. Granted-but-unconsumed *responses* don't:
         // they ride through skips untouched, and every possible owner is
@@ -949,7 +896,7 @@ impl<P: Probe> NicSystem<P> {
     /// the fold of every unit's `busy` predicate, over however many
     /// units the definition declares.
     #[inline]
-    pub(crate) fn frame_side_busy(&self) -> bool {
+    fn frame_side_busy(&self) -> bool {
         self.dmards.iter().any(|d| d.busy(&self.sp))
             || self.dmawrs.iter().any(|d| d.busy(&self.sp))
             || self.mactxs.iter().any(|m| m.busy(&self.sp))
@@ -958,7 +905,7 @@ impl<P: Probe> NicSystem<P> {
 
     /// Jump the clock over `n` provably-idle cycles, keeping every
     /// counter exactly as `n` dense steps would have left it.
-    pub(crate) fn skip_cycles(&mut self, n: u64) {
+    fn skip_cycles(&mut self, n: u64) {
         self.now += Ps(self.cpu_period.0 * n);
         self.xbar.skip_cycles(n);
         for core in &mut self.cores {
@@ -1017,130 +964,6 @@ impl<P: Probe> NicSystem<P> {
     /// benchmark. Dense runs leave both at zero.
     pub fn kernel_cycle_split(&self) -> (u64, u64) {
         (self.skipped_cycles, self.stepped_cycles)
-    }
-
-    /// Synchronization accounting accumulated by the domain-parallel
-    /// kernel: rendezvous opened, lookahead batches, batch-covered
-    /// cycles, and main-only solo cycles. Sequential runs leave every
-    /// field at zero.
-    pub fn parallel_sync_stats(&self) -> ParallelSyncStats {
-        self.sync_stats
-    }
-
-    /// How many consecutive cycles, starting at the next one, the frame
-    /// side may free-run on the worker thread without any cross-domain
-    /// interaction — the lookahead horizon of the batched parallel
-    /// kernel. 1 means "run the next cycle under the per-cycle
-    /// protocol" (or solo, if the frame side is also quiet).
-    ///
-    /// A batch of `h` cycles is sound when, for every cycle in it:
-    ///
-    /// * **no crossbar arbitration is needed** — no request is pending
-    ///   now (`needs_tick`), no core submits one (a core only submits at
-    ///   the end of a `Busy` span, ≥ `wake_in()` cycles away, and the
-    ///   cores are bulk-skipped with `h < wake_in`), and any *assist*
-    ///   submission happens at the earliest on the batch's final cycle
-    ///   (see the frame-event bounds below), leaving its arbitration for
-    ///   the rendezvous that follows;
-    /// * **no scratchpad word changes** — grants (phase 0) and driver
-    ///   mailbox pokes (phase 2) are the only writers and neither runs
-    ///   mid-batch — so assist `busy(&sp)` predicates and doorbell
-    ///   watches are frozen: a not-busy assist stays not-busy until a
-    ///   frame-memory completion routes to it, and no doorbell can
-    ///   raise a parked core;
-    /// * **the driver cannot act** — when it is live (`!driver_idle`),
-    ///   the batch ends before the countdown reaches its poll; when it
-    ///   is idle, its polls are no-ops unless a DMA-write host store
-    ///   revives it, which the frame-event bound confines to the final
-    ///   two cycles of the batch — so the batch additionally ends
-    ///   before the first poll boundary at or after the first possible
-    ///   host store.
-    ///
-    /// The frame-side bounds mirror [`NicSystem::wake_cycles`]: a busy
-    /// assist may submit scratchpad traffic on the very next tick
-    /// (horizon 1), and each timed event source (frame-memory burst
-    /// edges, wire completions, frame arrivals) bounds the horizon at
-    /// its event cycle *plus one* — the cycle in which the woken unit
-    /// may push and submit a scratchpad transaction, which is legal as
-    /// the batch's last cycle because the submission itself happens on
-    /// the worker's own port view and arbitration follows at the next
-    /// rendezvous, exactly one cycle later, as in the sequential
-    /// kernel.
-    pub(crate) fn batch_horizon(&self) -> u64 {
-        if self.xbar.needs_tick() {
-            return 1;
-        }
-        if self.frame_side_busy() {
-            return 1;
-        }
-        let mut h = u64::MAX;
-        for core in &self.cores {
-            // Bulk-skip contract: skip strictly fewer cycles than
-            // `wake_in`. A due core (wake_in 1) collapses the horizon.
-            h = h.min(core.wake_in().saturating_sub(1));
-            if h == 0 {
-                return 1;
-            }
-        }
-        let fm_cycles = self.cycles_until(self.fm.next_event());
-        if self.driver_countdown != u64::MAX {
-            if !self.driver_idle {
-                h = h.min(self.driver_countdown - 1);
-            } else if let Some(c) = fm_cycles {
-                // Idle polls are elided, but the first frame-memory
-                // completion may be a DMA host store that revives them:
-                // end the batch before the first poll boundary at or
-                // after that cycle (earlier boundaries are provable
-                // no-ops and may be crossed, with the countdown
-                // realigned exactly as `skip_cycles` does).
-                let cd = self.driver_countdown;
-                let boundary = if cd >= c {
-                    cd
-                } else {
-                    cd + (c - cd).div_ceil(self.cfg.driver_interval) * self.cfg.driver_interval
-                };
-                h = h.min(boundary - 1);
-            }
-        }
-        // Timed frame-side events: event cycle + 1 (the submit cycle).
-        let mac_events = self
-            .mactxs
-            .iter()
-            .map(|m| m.next_event())
-            .chain(self.macrxs.iter().map(|m| m.next_event()));
-        for c in std::iter::once(fm_cycles)
-            .chain(mac_events.map(|t| self.cycles_until(t)))
-            .flatten()
-        {
-            h = h.min(c.saturating_add(1));
-        }
-        h.max(1)
-    }
-
-    /// Cycles from `now` until the cycle in which an absolute event
-    /// time falls due, with [`WakeTracker::at_time`]'s exact semantics
-    /// (a due-or-past event is 1 cycle away); `None` for "never".
-    fn cycles_until(&self, t: Ps) -> Option<u64> {
-        if t == Ps::MAX {
-            return None;
-        }
-        Some(if t <= self.now {
-            1
-        } else {
-            (t.0 - self.now.0).div_ceil(self.cpu_period.0)
-        })
-    }
-
-    /// Whether the frame side is provably a no-op on the *next* cycle:
-    /// every assist-section gate of [`NicSystem::step_inner`] evaluates
-    /// false at `now + 1 cycle`. Such a cycle can run entirely on the
-    /// main thread — no rendezvous — and remain bit-identical.
-    pub(crate) fn frame_side_quiet_next(&self) -> bool {
-        let next = self.now + self.cpu_period;
-        !self.frame_side_busy()
-            && self.mactxs.iter().all(|m| m.next_event() > next)
-            && self.macrxs.iter().all(|m| m.next_event() > next)
-            && self.fm.next_event() > next
     }
 
     /// Run until simulation time `until`, simulating every cycle (the

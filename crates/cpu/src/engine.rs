@@ -11,8 +11,8 @@
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
 use crate::slot::{new_slot, OpEvent, PendingOp, SharedSlot};
-use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest, XbarPort};
-use nicsim_obs::{Event, NullProbe, Probe};
+use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest};
+use nicsim_obs::{Event, Probe};
 use nicsim_sim::Ps;
 use std::future::Future;
 use std::pin::Pin;
@@ -149,11 +149,6 @@ impl Core {
             stats: CoreEngineStats::default(),
             trace: None,
         }
-    }
-
-    /// The core id / crossbar port.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// The slot shared with the firmware future (create a
@@ -309,21 +304,13 @@ impl Core {
         stall
     }
 
-    /// Advance one CPU cycle. Must be called after `xbar.tick()` for the
-    /// same cycle.
-    pub fn tick(&mut self, xbar: &mut Crossbar, imem: &mut InstrMemory) {
-        let id = self.id;
-        self.tick_probed(&mut xbar.port(id), imem, Ps::ZERO, &mut NullProbe);
-    }
-
-    /// [`Core::tick`] with probe instrumentation, stamping events with
-    /// the simulated time `now`. Generic over the crossbar port view so
-    /// the same engine runs against the sequential kernel
-    /// ([`nicsim_mem::BoundPort`]) and the domain-parallel kernel
-    /// ([`nicsim_mem::PortHandle`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    /// Advance one CPU cycle, stamping probe events with the simulated
+    /// time `now`. Must be called after `xbar.tick()` for the same
+    /// cycle. The core submits and collects on its own crossbar port
+    /// (its id).
+    pub fn tick<P: Probe>(
         &mut self,
-        port: &mut X,
+        xbar: &mut Crossbar,
         imem: &mut InstrMemory,
         now: Ps,
         probe: &mut P,
@@ -332,7 +319,7 @@ impl Core {
         self.stats.ticks += 1;
 
         // Drain a completed buffered store.
-        if self.store_inflight && port.take_response().is_some() {
+        if self.store_inflight && xbar.take_response(self.id).is_some() {
             self.store_inflight = false;
         }
 
@@ -435,11 +422,11 @@ impl Core {
                                     is_load: !is_store,
                                 };
                             } else if is_store {
-                                port.submit(req);
+                                xbar.submit(self.id, req);
                                 self.store_inflight = true;
                                 self.state = State::Poll;
                             } else {
-                                port.submit(req);
+                                xbar.submit(self.id, req);
                                 self.state = State::WaitMem { waited: 0 };
                             }
                         }
@@ -452,7 +439,7 @@ impl Core {
                         // Port freed this cycle; the submit rides the tail
                         // of this (conflict) cycle.
                         self.charge(StallBucket::Conflict);
-                        port.submit(req);
+                        xbar.submit(self.id, req);
                         if is_load {
                             self.state = State::WaitMem { waited: 0 };
                         } else {
@@ -482,7 +469,7 @@ impl Core {
                     return;
                 }
                 State::WaitMem { waited } => {
-                    if let Some(v) = port.take_response() {
+                    if let Some(v) = xbar.take_response(self.id) {
                         self.slot.response.set(Some(v));
                         // The dependent instruction issues this very
                         // cycle: chain into Poll without consuming.
@@ -609,6 +596,7 @@ mod tests {
     use crate::ctx::CoreCtx;
     use crate::func::FwFunc;
     use nicsim_mem::Scratchpad;
+    use nicsim_obs::NullProbe;
 
     struct Rig {
         core: Core,
@@ -638,7 +626,8 @@ mod tests {
                     return t;
                 }
                 self.xbar.tick(&mut self.sp);
-                self.core.tick(&mut self.xbar, &mut self.imem);
+                self.core
+                    .tick(&mut self.xbar, &mut self.imem, Ps::ZERO, &mut NullProbe);
             }
             panic!("firmware did not halt within {max} ticks");
         }
@@ -800,8 +789,8 @@ mod tests {
                 break;
             }
             xbar.tick(&mut sp);
-            c0.tick(&mut xbar, &mut imem);
-            c1.tick(&mut xbar, &mut imem);
+            c0.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
+            c1.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         }
         assert!(c0.halted() && c1.halted(), "deadlock or livelock");
         assert_eq!(sp.peek(COUNTER), 100, "lost update under lock");
@@ -841,7 +830,8 @@ mod tests {
         });
         // The first tick queues all four ops and starts the alu(4).
         rig.xbar.tick(&mut rig.sp);
-        rig.core.tick(&mut rig.xbar, &mut rig.imem);
+        rig.core
+            .tick(&mut rig.xbar, &mut rig.imem, Ps::ZERO, &mut NullProbe);
         assert_eq!(rig.core.engine_stats().ops, 1);
 
         let ctx = rig.ctx();
@@ -888,6 +878,7 @@ mod attribution_tests {
     use crate::ctx::CoreCtx;
     use crate::func::{FwFunc, StallBucket};
     use nicsim_mem::Scratchpad;
+    use nicsim_obs::NullProbe;
 
     fn rig() -> (Core, Crossbar, Scratchpad, InstrMemory) {
         (
@@ -904,7 +895,7 @@ mod attribution_tests {
                 return;
             }
             xbar.tick(sp);
-            core.tick(xbar, imem);
+            core.tick(xbar, imem, Ps::ZERO, &mut NullProbe);
         }
         panic!("did not halt");
     }
@@ -1003,9 +994,9 @@ mod attribution_tests {
 
         // First tick enters Busy { exec: 12 } and charges one cycle.
         dx.tick(&mut dsp);
-        dense.tick(&mut dx, &mut dim);
+        dense.tick(&mut dx, &mut dim, Ps::ZERO, &mut NullProbe);
         fx.tick(&mut fsp);
-        fast.tick(&mut fx, &mut fim);
+        fast.tick(&mut fx, &mut fim, Ps::ZERO, &mut NullProbe);
         assert!(fast.wake_in() > 1, "core should be mid-Busy");
 
         // Skip all but the final Busy cycle on the fast core; tick the
@@ -1014,7 +1005,7 @@ mod attribution_tests {
         fast.skip_cycles(skip);
         for _ in 0..skip {
             dx.tick(&mut dsp);
-            dense.tick(&mut dx, &mut dim);
+            dense.tick(&mut dx, &mut dim, Ps::ZERO, &mut NullProbe);
         }
         assert_eq!(fast.wake_in(), 1);
         assert_eq!(fast.profile(), dense.profile());
@@ -1060,7 +1051,7 @@ mod attribution_tests {
                 break;
             }
             xbar.tick(&mut sp);
-            core.tick(&mut xbar, &mut imem);
+            core.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         }
         assert!(core.parked());
         assert_eq!(core.wake_in(), u64::MAX, "no doorbell: inert");
@@ -1071,7 +1062,7 @@ mod attribution_tests {
         let before = core.profile().total(|f| f.total_cycles());
         for _ in 0..5 {
             xbar.tick(&mut sp);
-            core.tick(&mut xbar, &mut imem);
+            core.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         }
         assert!(core.parked());
         assert_eq!(core.engine_stats().parked_ticks, 5);
@@ -1110,9 +1101,9 @@ mod attribution_tests {
         let (mut fast, mut fx, mut fsp, mut fim) = build();
         for _ in 0..10 {
             dx.tick(&mut dsp);
-            dense.tick(&mut dx, &mut dim);
+            dense.tick(&mut dx, &mut dim, Ps::ZERO, &mut NullProbe);
             fx.tick(&mut fsp);
-            fast.tick(&mut fx, &mut fim);
+            fast.tick(&mut fx, &mut fim, Ps::ZERO, &mut NullProbe);
         }
         assert!(dense.parked() && fast.parked());
 
@@ -1122,7 +1113,7 @@ mod attribution_tests {
         fast.skip_cycles(100);
         for _ in 0..100 {
             dx.tick(&mut dsp);
-            dense.tick(&mut dx, &mut dim);
+            dense.tick(&mut dx, &mut dim, Ps::ZERO, &mut NullProbe);
         }
         assert_eq!(fast.profile(), dense.profile());
         assert_eq!(fast.engine_stats(), dense.engine_stats());
@@ -1148,7 +1139,7 @@ mod attribution_tests {
             ctx.wfi().await;
         });
         xbar.tick(&mut sp);
-        core.tick(&mut xbar, &mut imem);
+        core.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         assert!(!core.parked(), "mid-Busy");
         core.raise_wake();
         run(&mut core, &mut xbar, &mut sp, &mut imem);
@@ -1164,7 +1155,7 @@ mod attribution_tests {
         });
         for _ in 0..100 {
             xbar.tick(&mut sp);
-            core.tick(&mut xbar, &mut imem);
+            core.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         }
         assert!(core.halted());
         let st = core.engine_stats();

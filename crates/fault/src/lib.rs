@@ -306,9 +306,24 @@ impl FaultPlan {
                 return Err(format!("{name}={p}: probability must be in [0, 1]"));
             }
         }
-        if plan.stall_alpha < 0.0 {
+        // Armed sites convert these to picoseconds: reject any value
+        // whose conversion would overflow the clock.
+        for (name, v, ps_per_unit) in [
+            ("stall_ns", plan.stall_ns, 1_000),
+            ("backoff_ns", plan.backoff_ns, 1_000),
+            ("hang_us", plan.hang_period_us, 1_000_000),
+            ("watchdog_us", plan.watchdog_us, 1_000_000),
+            ("flap_us", plan.flap_period_us, 1_000_000),
+            ("flap_down_us", plan.flap_down_us, 1_000_000),
+            ("crash_us", plan.crash_period_us, 1_000_000),
+        ] {
+            if v.checked_mul(ps_per_unit).is_none() {
+                return Err(format!("{name}={v}: duration overflows the ps clock"));
+            }
+        }
+        if !(plan.stall_alpha.is_finite() && plan.stall_alpha >= 0.0) {
             return Err(format!(
-                "stall_alpha={}: shape must be >= 0",
+                "stall_alpha={}: shape must be finite and >= 0",
                 plan.stall_alpha
             ));
         }
@@ -1187,7 +1202,27 @@ mod tests {
         assert!(FaultPlan::parse("poison=2").is_err());
         assert!(FaultPlan::parse("fw=nan").is_err());
         assert!(FaultPlan::parse("stall_alpha=-1").is_err());
+        assert!(FaultPlan::parse("stall_alpha=nan").is_err());
+        assert!(FaultPlan::parse("stall_alpha=inf").is_err());
         assert!(FaultPlan::parse("flap_us=bogus").is_err());
+        // Durations whose picosecond conversion overflows u64.
+        for key in [
+            "hang_us",
+            "watchdog_us",
+            "flap_us",
+            "flap_down_us",
+            "crash_us",
+        ] {
+            let spec = format!("dma=0.1,{key}=20000000000000");
+            assert!(FaultPlan::parse(&spec).is_err(), "{spec}");
+        }
+        for key in ["stall_ns", "backoff_ns"] {
+            let spec = format!("dma=0.1,{key}=20000000000000000");
+            assert!(FaultPlan::parse(&spec).is_err(), "{spec}");
+        }
+        // The largest whole-microsecond value that still fits parses.
+        let p = FaultPlan::parse("hang_us=18446744073709").unwrap();
+        assert_eq!(p.hang_period_us, u64::MAX / 1_000_000);
         let p = FaultPlan::parse("fab_crc=0.01,flap_us=200,squeeze=0.05,crash_us=400").unwrap();
         assert_eq!(p.fabric_corrupt, 0.01);
         assert_eq!(p.flap_period_us, 200);

@@ -5,6 +5,8 @@
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, FwFunc};
 use nicsim_firmware::mode::{claim_range, commit_scan, mark_bit, FwMode};
 use nicsim_mem::{Crossbar, ICacheConfig, InstrMemory, Scratchpad};
+use nicsim_obs::NullProbe;
+use nicsim_sim::Ps;
 
 struct Rig {
     cores: Vec<Core>,
@@ -36,7 +38,7 @@ impl Rig {
             }
             self.xbar.tick(&mut self.sp);
             for c in &mut self.cores {
-                c.tick(&mut self.xbar, &mut self.imem);
+                c.tick(&mut self.xbar, &mut self.imem, Ps::ZERO, &mut NullProbe);
             }
         }
         panic!("firmware did not halt");

@@ -27,4 +27,4 @@ pub use icache::{ICache, ICacheConfig, InstrMemory};
 pub use scratchpad::{Scratchpad, SpOp, SpRequest};
 pub use sdram::{FrameMemory, FrameMemoryConfig, SdramCompletion, StreamId};
 pub use trace::{AccessKind, AccessTrace, TraceRecord};
-pub use xbar::{BoundPort, Crossbar, PortHandle, PortStats, RequesterId, XbarPort};
+pub use xbar::{Crossbar, PortStats, RequesterId};

@@ -51,10 +51,7 @@ struct Response {
     ready_at: u64,
 }
 
-/// All state owned by one requester port. Ports are disjoint: nothing a
-/// requester does on its own port (submit, take_response, idle) touches
-/// any other port or any crossbar-global state, which is what makes the
-/// per-port [`PortHandle`] split sound for the domain-parallel kernel.
+/// All state owned by one requester port.
 #[derive(Debug, Clone, Copy, Default)]
 struct Port {
     pending: Option<Pending>,
@@ -63,103 +60,8 @@ struct Port {
 }
 
 impl Port {
-    fn submit(&mut self, id: RequesterId, req: SpRequest) {
-        assert!(
-            self.pending.is_none() && self.response.is_none(),
-            "port {id} already has an outstanding transaction"
-        );
-        self.pending = Some(Pending { req, bank: 0 });
-    }
-
-    fn take_response(&mut self, cycle: u64) -> Option<u32> {
-        match self.response {
-            Some(r) if r.ready_at <= cycle => {
-                self.response = None;
-                Some(r.value)
-            }
-            _ => None,
-        }
-    }
-
     fn idle(&self) -> bool {
         self.pending.is_none() && self.response.is_none()
-    }
-}
-
-/// A requester-side view of one crossbar port: exactly the three
-/// operations a port owner may perform. Implemented by the borrow-checked
-/// sequential view ([`BoundPort`]) and by the thread-splittable raw view
-/// ([`PortHandle`]), so cores and assists can tick against either kernel.
-pub trait XbarPort {
-    /// Submit a request on this port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port already has an outstanding request or an
-    /// unconsumed response — requesters are single-outstanding by
-    /// construction.
-    fn submit(&mut self, req: SpRequest);
-    /// Take the response if it is consumable this cycle.
-    fn take_response(&mut self) -> Option<u32>;
-    /// Whether the port may submit (no pending request or unconsumed
-    /// response).
-    fn idle(&self) -> bool;
-}
-
-/// Sequential port view borrowing the whole crossbar; obtained from
-/// [`Crossbar::port`].
-pub struct BoundPort<'a> {
-    xbar: &'a mut Crossbar,
-    port: RequesterId,
-}
-
-impl XbarPort for BoundPort<'_> {
-    fn submit(&mut self, req: SpRequest) {
-        self.xbar.submit(self.port, req);
-    }
-
-    fn take_response(&mut self) -> Option<u32> {
-        self.xbar.take_response(self.port)
-    }
-
-    fn idle(&self) -> bool {
-        self.xbar.port_idle(self.port)
-    }
-}
-
-/// Raw per-port view for the domain-parallel kernel: a pointer to one
-/// [`Port`] plus a read-only pointer to the crossbar's cycle counter.
-///
-/// Safety contract (upheld by `nicsim-core`'s parallel kernel, see
-/// [`Crossbar::port_handles`]): while any handle is in use, no `&mut
-/// Crossbar` method runs, the cycle counter is not advanced, and each
-/// port's handle is used by at most one thread. Distinct ports are
-/// disjoint state, so concurrent use of *different* handles is sound.
-pub struct PortHandle {
-    id: RequesterId,
-    port: *mut Port,
-    cycle: *const u64,
-}
-
-// SAFETY: a PortHandle only dereferences its own port (disjoint from all
-// other handles) and reads the cycle counter, which is frozen while
-// handles are in use per the contract above.
-unsafe impl Send for PortHandle {}
-
-impl XbarPort for PortHandle {
-    fn submit(&mut self, req: SpRequest) {
-        // SAFETY: exclusive access to this port per the handle contract.
-        unsafe { (*self.port).submit(self.id, req) }
-    }
-
-    fn take_response(&mut self) -> Option<u32> {
-        // SAFETY: as above; the cycle counter is frozen during handle use.
-        unsafe { (*self.port).take_response(*self.cycle) }
-    }
-
-    fn idle(&self) -> bool {
-        // SAFETY: as above.
-        unsafe { (*self.port).idle() }
     }
 }
 
@@ -210,39 +112,6 @@ impl Crossbar {
         self.ports.len()
     }
 
-    /// A borrow-checked [`XbarPort`] view of `port` for sequential use.
-    pub fn port(&mut self, port: RequesterId) -> BoundPort<'_> {
-        assert!(port < self.ports.len(), "no such port: {port}");
-        BoundPort { xbar: self, port }
-    }
-
-    /// Split the crossbar into one raw [`PortHandle`] per port, for the
-    /// domain-parallel kernel.
-    ///
-    /// # Safety
-    ///
-    /// For the handles' whole lifetime the crossbar must be neither
-    /// moved, dropped, nor have its port set resized. Handle *use* and
-    /// `&mut Crossbar` methods must be time-sliced, never concurrent:
-    /// while any handle is being dereferenced (e.g. during the parallel
-    /// kernel's split phase) no `&mut Crossbar` method may run — in
-    /// particular no tick/skip, so the cycle counter stays put for the
-    /// duration of the phase. Each individual handle is used by at most
-    /// one thread at a time; distinct ports are disjoint state, so
-    /// concurrent use of different handles is sound.
-    pub unsafe fn port_handles(&mut self) -> Vec<PortHandle> {
-        let cycle: *const u64 = &self.cycle;
-        self.ports
-            .iter_mut()
-            .enumerate()
-            .map(|(id, p)| PortHandle {
-                id,
-                port: p as *mut Port,
-                cycle,
-            })
-            .collect()
-    }
-
     /// Submit a request on `port`.
     ///
     /// # Panics
@@ -250,8 +119,14 @@ impl Crossbar {
     /// Panics if the port already has an outstanding request or an
     /// unconsumed response — requesters are single-outstanding by
     /// construction.
+    #[inline]
     pub fn submit(&mut self, port: RequesterId, req: SpRequest) {
-        self.ports[port].submit(port, req);
+        let p = &mut self.ports[port];
+        assert!(
+            p.idle(),
+            "port {port} already has an outstanding transaction"
+        );
+        p.pending = Some(Pending { req, bank: 0 });
     }
 
     /// Whether any port has an outstanding transaction (pending request
@@ -288,14 +163,22 @@ impl Crossbar {
 
     /// Whether `port` has neither a pending request nor an unconsumed
     /// response (i.e. it may submit).
+    #[inline]
     pub fn port_idle(&self, port: RequesterId) -> bool {
         self.ports[port].idle()
     }
 
     /// Take the response for `port` if it is consumable this cycle.
+    #[inline]
     pub fn take_response(&mut self, port: RequesterId) -> Option<u32> {
-        let cycle = self.cycle;
-        self.ports[port].take_response(cycle)
+        let p = &mut self.ports[port];
+        match p.response {
+            Some(r) if r.ready_at <= self.cycle => {
+                p.response = None;
+                Some(r.value)
+            }
+            _ => None,
+        }
     }
 
     /// Statistics for `port`.
@@ -639,53 +522,6 @@ mod tests {
             a.port_stats(0).conflict_cycles,
             b.port_stats(0).conflict_cycles
         );
-    }
-
-    #[test]
-    fn bound_port_view_matches_direct_calls() {
-        let (mut xb, mut sp) = setup(2, 4);
-        sp.poke(8, 42);
-        {
-            let mut p = xb.port(0);
-            assert!(p.idle());
-            p.submit(SpRequest {
-                addr: 8,
-                op: SpOp::Read,
-            });
-            assert!(!p.idle());
-        }
-        xb.tick(&mut sp);
-        xb.tick(&mut sp);
-        assert_eq!(xb.port(0).take_response(), Some(42));
-        assert!(xb.port_idle(0));
-    }
-
-    #[test]
-    fn port_handles_split_ports_disjointly() {
-        let (mut xb, mut sp) = setup(3, 4);
-        sp.poke(0, 10);
-        sp.poke(4, 20);
-        // SAFETY: handles are used (sequentially here) strictly between
-        // &mut Crossbar uses; the crossbar does not move.
-        let mut handles = unsafe { xb.port_handles() };
-        handles[0].submit(SpRequest {
-            addr: 0,
-            op: SpOp::Read,
-        });
-        handles[2].submit(SpRequest {
-            addr: 4,
-            op: SpOp::Read,
-        });
-        assert!(!handles[0].idle() && handles[1].idle() && !handles[2].idle());
-        drop(handles);
-        xb.tick(&mut sp);
-        xb.tick(&mut sp);
-        let mut handles = unsafe { xb.port_handles() };
-        assert_eq!(handles[0].take_response(), Some(10));
-        assert_eq!(handles[1].take_response(), None);
-        assert_eq!(handles[2].take_response(), Some(20));
-        drop(handles);
-        assert!(!xb.has_pending());
     }
 
     #[test]

@@ -282,9 +282,10 @@ impl Workload {
     }
 
     fn validate(&self) -> Result<(), String> {
-        // NaN must fail too, so the comparison is kept exclusionary.
-        if self.fps.is_nan() || self.fps <= 0.0 {
-            return Err("workload: fps must be positive".into());
+        // NaN and infinity must fail too: an infinite rate would clamp
+        // every gap to 1 ps and schedule a packet per picosecond.
+        if !(self.fps.is_finite() && self.fps > 0.0) {
+            return Err("workload: fps must be positive and finite".into());
         }
         let ok_size = |s: usize| (4..=MAX_UDP_PAYLOAD).contains(&s);
         let sizes_ok = match self.sizes {
@@ -306,6 +307,9 @@ impl Workload {
         }
         if self.reliable && self.rto_us == 0 {
             return Err("workload: reliable mode needs rto_us >= 1".into());
+        }
+        if self.rto_us.checked_mul(1_000_000).is_none() {
+            return Err("workload: rto_us overflows the ps clock".into());
         }
         Ok(())
     }
@@ -535,6 +539,9 @@ mod tests {
                 alpha: 1.5
             }
         );
+        assert!(Workload::parse("fps=inf").is_err());
+        assert!(Workload::parse("fps=-inf").is_err());
+        assert!(Workload::parse("fps=nan").is_err());
         assert!(Workload::parse("pattern=starlight").is_err());
         assert!(Workload::parse("shift=2").is_err());
         assert!(Workload::parse("nonsense").is_err());
@@ -551,6 +558,11 @@ mod tests {
         assert!(Workload::parse("reliable=maybe").is_err());
         assert!(Workload::parse("reliable=1,rto_us=0").is_err());
         assert!(Workload::parse("rto_us=bogus").is_err());
+        // The retransmit timeout becomes picoseconds in the fleet.
+        assert!(Workload::parse("reliable=1,rto_us=20000000000000").is_err());
+        assert!(Workload::parse("rto_us=20000000000000").is_err());
+        let w = Workload::parse("reliable=1,rto_us=18446744073709").unwrap();
+        assert_eq!(w.rto_us, u64::MAX / 1_000_000);
     }
 
     #[test]

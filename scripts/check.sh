@@ -14,18 +14,18 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test --workspace"
 NICSIM_QUICK=1 cargo test --workspace --quiet
 
-echo "==> kernel equivalence (release: dense vs event vs parallel, both dispatch modes)"
+echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # The quick-mode test run above already covers these in debug; the
 # release run guards against optimization-dependent divergence in the
 # skip/gating fast paths. The suite asserts dense/event bit-identity in
-# interrupt dispatch, domain-parallel bit-identity (stats and skip
-# decisions) in both dispatch modes, and polling-vs-interrupt identity
-# of the delivered frame/descriptor record under a live fault plan.
+# both dispatch modes (stats, and raw probe event streams), and
+# polling-vs-interrupt identity of the delivered frame/descriptor
+# record under a live fault plan.
 # The sysdef matrix rides in the same suite: the default derived
 # SysDef must be bit-identical to the hand-wired baseline (RunStats
 # and frame-lifecycle probe streams, both dispatch modes), and
-# non-default topologies (2 DMA pairs, 2 MACs) must agree across
-# dense, event, and domain-parallel kernels.
+# non-default topologies (2 DMA pairs, 2 MACs) must agree across the
+# dense and event kernels.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 
 echo "==> hot-path reference models (release)"
@@ -38,7 +38,7 @@ cargo test --release --quiet --test reference_models
 echo "==> sysdef smoke (non-default topologies end-to-end, ~3 s)"
 # Drives declaratively composed non-default topologies through the
 # experiment engine: archsweep recomposes the SoC per point (crossbar
-# ports, memory map, dispatch sources, clock domains) and every run
+# ports, memory map, dispatch sources) and every run
 # asserts end-to-end frame validation. A composition regression —
 # a bad port assignment, a broken memory-map append, a mis-routed
 # completion tag — fails here even when the default system is intact.
@@ -72,8 +72,8 @@ NICSIM_BASELINE_TOL="${NICSIM_BASELINE_TOL:-0.35}" \
 
 echo "==> bench_compare vs committed baseline (informational)"
 # Point-by-point diff of the run above against the committed results:
-# surfaces per-row speedup and throughput drift (and the parallel
-# row's rendezvous accounting) in the check log without gating on it —
+# surfaces per-row speedup and throughput drift in the check log
+# without gating on it —
 # the floors inside simspeed are the gates; this is the trend readout.
 sh scripts/bench_compare.sh results/BENCH_simspeed.json target/BENCH_simspeed.json
 rm -f target/BENCH_simspeed.json

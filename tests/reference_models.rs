@@ -11,7 +11,7 @@
 //! must match. Cases come from a seeded xorshift generator, as in
 //! `tests/properties.rs`, so any failure reproduces exactly.
 
-use nicsim::{Event, EventLog, Probe};
+use nicsim::{Event, EventLog, NullProbe, Probe};
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, FwFunc, StallBucket};
 use nicsim_mem::{Crossbar, ICacheConfig, InstrMemory, Scratchpad, SpOp, SpRequest};
 use nicsim_sim::Ps;
@@ -418,7 +418,7 @@ fn fetch_walk_matches_division_reference_on_odd_geometries() {
         let mut imem = InstrMemory::new();
         while !core.halted() {
             xbar.tick(&mut sp);
-            core.tick(&mut xbar, &mut imem);
+            core.tick(&mut xbar, &mut imem, Ps::ZERO, &mut NullProbe);
         }
         let case = format!("{bytes} B {ways}-way, {line_bytes} B lines");
         assert_eq!(core.icache().hits(), reference.icache.hits, "hits, {case}");
@@ -614,7 +614,7 @@ fn run_fw(programs: &[Vec<FwStep>], one_op_per_poll: bool, wake_seed: u64) -> (F
         let now = Ps(tick);
         xbar.tick_probed(&mut sp, now, &mut log);
         for (i, core) in cores.iter_mut().enumerate() {
-            core.tick_probed(&mut xbar.port(i), &mut imem, now, &mut log);
+            core.tick(&mut xbar, &mut imem, now, &mut log);
             if core.halted() && halt_ticks[i].is_none() {
                 halt_ticks[i] = Some(tick);
             }
